@@ -43,13 +43,7 @@ impl GuardOracle {
             return None; // guard word: never a legal write target
         }
         if simlibc::heap::in_heap(proc, addr) {
-            let chunks = simlibc::heap::walk(proc).ok()?;
-            let c = chunks.iter().find(|c| addr >= c.base && addr < c.base.add(c.size))?;
-            let payload = c.base.add(simlibc::heap::HDR);
-            if c.free || c.is_top || addr < payload {
-                return None;
-            }
-            return Some((payload, c.size - simlibc::heap::HDR));
+            return simlibc::heap::live_region(proc, addr);
         }
         let ext = HeapOracle::new().writable_extent(proc, addr)?;
         Some((addr, ext))
@@ -101,8 +95,9 @@ impl ExtentOracle for GuardOracle {
 
     fn validation_epoch(&self) -> u64 {
         // The registry is the only state this oracle consults outside the
-        // process image (the heap oracle walks in-image chunk headers,
-        // which the address-space epoch already covers).
+        // process image. The heap oracle reads in-image chunk headers and
+        // the allocator's live-chunk index, which changes only together
+        // with those headers; the address-space epoch covers both.
         self.registry.epoch()
     }
 }
@@ -143,7 +138,7 @@ mod tests {
         registry.protect(&mut p, guarded, 20).unwrap();
         assert_eq!(oracle.object_region(&p, guarded.add(5)), Some((guarded, 20)));
         assert_eq!(oracle.object_region(&p, guarded.add(20)), None, "guard word");
-        // Plain heap chunk: payload bounds from the chunk walk.
+        // Plain heap chunk: payload bounds from the live-chunk index.
         let plain = heap::malloc(&mut p, 24).unwrap();
         let (base, size) = oracle.object_region(&p, plain.add(3)).unwrap();
         assert_eq!(base, plain);
@@ -172,7 +167,7 @@ mod tests {
         assert_eq!(oracle.extent_right(&p, guarded.add(20)), None);
 
         // Interior pointer into a plain heap chunk: distance from the
-        // pointer to the payload's right edge, from the chunk walk.
+        // pointer to the payload's right edge, from the live-chunk index.
         let plain = heap::malloc(&mut p, 24).unwrap();
         let (base, size) = oracle.object_region(&p, plain).unwrap();
         assert_eq!(base, plain);

@@ -23,6 +23,18 @@
 //!                   | ... payload ...  |
 //!  next chunk  ->   +------------------+
 //! ```
+//!
+//! ## The live-chunk index
+//!
+//! Beside that in-memory metadata, the allocator keeps a host-side
+//! record of the chunks it has handed out ([`simproc::LiveChunks`], a
+//! field of the process): `malloc`/`calloc` insert at their return
+//! points, `free` removes, `realloc` does both through those two, and
+//! [`init_heap`] clears it. The security checks ([`live_payload`],
+//! [`HeapOracle`]) answer from it plus an O(1) consistency test of the
+//! headers `free` itself would read, instead of walking the heap. The
+//! walk ([`walk`], [`free_list`]) stays as the reference and as
+//! [`check_invariants`]' engine.
 
 use simproc::layout::{HEAP_BASE, HEAP_MAX};
 use simproc::{errno, Access, CVal, Fault, Proc, VirtAddr};
@@ -55,6 +67,7 @@ pub fn chunk_size_for(request: u64) -> u64 {
 /// Initialises the heap: the whole initial mapping becomes the top
 /// (wilderness) chunk and the free list is empty (head self-linked).
 pub fn init_heap(p: &mut Proc) -> Result<(), Fault> {
+    p.live_chunks_mut().clear();
     let heap_end = heap_end(p);
     p.mem.write_u64(HEAP_TOP, HEAP_BASE.get())?;
     // Top chunk header: size = whole arena, previous (nonexistent) in use.
@@ -134,7 +147,7 @@ pub fn malloc(p: &mut Proc, n: u64) -> Result<VirtAddr, Fault> {
         let (size, flags) = read_size(p, chunk)?;
         if size >= need {
             unlink(p, cur)?;
-            if size - need >= MIN_CHUNK {
+            let taken = if size - need >= MIN_CHUNK {
                 // Split: the tail stays free.
                 let rem_chunk = chunk.add(need);
                 let rem_size = size - need;
@@ -147,13 +160,16 @@ pub fn malloc(p: &mut Proc, n: u64) -> Result<VirtAddr, Fault> {
                     set_prev_inuse(p, after, false)?;
                 }
                 insert(p, rem_chunk.add(HDR))?;
+                need
             } else {
                 // Hand out the whole chunk.
                 let next = chunk.add(size);
                 if next < heap_end(p) {
                     set_prev_inuse(p, next, true)?;
                 }
-            }
+                size
+            };
+            p.live_chunks_mut().insert(chunk.add(HDR), taken);
             return Ok(chunk.add(HDR));
         }
         cur = p.read_ptr(cur)?;
@@ -171,6 +187,7 @@ pub fn malloc(p: &mut Proc, n: u64) -> Result<VirtAddr, Fault> {
             p.write_u64(HEAP_TOP, new_top.get())?;
             p.write_u64(new_top, 0)?;
             write_size(p, new_top, top_size - need, PREV_INUSE)?;
+            p.live_chunks_mut().insert(top.add(HDR), need);
             return Ok(top.add(HDR));
         }
         // Grow the arena.
@@ -199,6 +216,7 @@ pub fn free(p: &mut Proc, ptr: VirtAddr) -> Result<(), Fault> {
     if ptr.is_null() {
         return Ok(());
     }
+    p.live_chunks_mut().remove(ptr);
     let mut chunk = ptr.sub(HDR);
     let (mut size, flags) = read_size(p, chunk)?;
 
@@ -384,91 +402,164 @@ pub fn free_list(p: &Proc) -> Result<Vec<VirtAddr>, String> {
     Ok(out)
 }
 
-/// Visits every chunk in the arena chain without allocating, calling
-/// `f(base, size, prev_inuse, is_top)` per chunk. Validation (and the
-/// errors it can produce) mirrors [`walk`] exactly — including the
-/// up-front free-list validation — so callers that treat `Err` as
-/// "heap too corrupt to vouch for anything" defer in exactly the same
-/// cases. Chunk *freeness* is not computed here; use
-/// [`free_list_lookup`] for the one chunk of interest.
-fn visit_chunks(
-    p: &Proc,
-    mut f: impl FnMut(VirtAddr, u64, bool, bool),
-) -> Result<(), String> {
-    let end = heap_end(p);
-    let top =
-        p.mem.read_ptr(HEAP_TOP).map_err(|e| format!("top pointer unreadable: {e}"))?;
-    free_list_lookup(p, None)?;
-    let mut cur = HEAP_BASE;
-    let mut guard = 0;
-    while cur < end {
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("heap walk did not terminate".into());
-        }
-        let word = p
-            .mem
-            .read_u64(cur.add(8))
-            .map_err(|e| format!("header unreadable at {cur}: {e}"))?;
-        let size = word & !15;
-        if size < MIN_CHUNK || size % 16 != 0 {
-            return Err(format!("bad chunk size {size:#x} at {cur}"));
-        }
-        f(cur, size, word & PREV_INUSE != 0, cur == top);
-        cur = cur.add(size);
+/// Liveness check: is `ptr` the payload address of a live (allocated,
+/// non-top) chunk? Answered from the allocator's live-chunk index plus
+/// the O(1) header test of [`chunk_defect`]. On every heap that legal
+/// traffic produces, this equals walking the heap with [`walk`] and
+/// testing `payload == ptr && !free && !is_top`; DESIGN.md lists where
+/// the two differ on a corrupted heap.
+pub fn live_payload(p: &Proc, ptr: VirtAddr) -> bool {
+    p.live_chunks().get(ptr).is_some_and(|size| chunk_defect(p, ptr, size).is_none())
+}
+
+/// The live allocation whose payload contains `addr`, as `(payload,
+/// usable size)`: the index entry at or below `addr`, if its chunk
+/// reaches past `addr` and its headers pass [`chunk_defect`]. `None` for
+/// chunk headers, free chunks and the wilderness.
+pub fn live_region(p: &Proc, addr: VirtAddr) -> Option<(VirtAddr, u64)> {
+    let (payload, size) = p.live_chunks().at_or_below(addr)?;
+    (addr < payload.sub(HDR).add(size) && chunk_defect(p, payload, size).is_none())
+        .then_some((payload, size - HDR))
+}
+
+/// Why [`chunk_defect`] refused a live chunk: which header `free` would
+/// have trusted is not what the allocator wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkDefect {
+    /// A header the test reads is unmapped or unreadable.
+    Unreadable,
+    /// The size word differs from the size the chunk was allocated with,
+    /// or the chunk reaches the arena end.
+    SizeForged,
+    /// The chunk is top, or borders top while top's size word does not
+    /// reach exactly to the arena end.
+    TopForged,
+    /// The next chunk's `PREV_INUSE` says this chunk is free.
+    NextSaysFree,
+    /// `PREV_INUSE` is clear, so `free` would coalesce backward, but the
+    /// chunk `prev_size` names is not a genuine free chunk: bad
+    /// `prev_size`, a size word that disagrees with it, a live
+    /// allocation, or links that fail safe-unlink.
+    PrevForged,
+    /// The chunk after next has `PREV_INUSE` clear, so `free` would
+    /// coalesce forward, but next is not a genuine free chunk: a bad size
+    /// word, a live allocation, or links that fail safe-unlink.
+    NextForged,
+    /// The first free-list node, before which `free` ends by inserting
+    /// the chunk, is the chunk itself or does not link back to the list
+    /// head.
+    FreeListForged,
+}
+
+/// The O(1) consistency test behind every index answer, for the live
+/// chunk with payload `payload` and allocated chunk size `size`. It reads
+/// only the words `free(payload)` itself will read or write, and returns
+/// `None` when that `free` would touch nothing but genuine metadata,
+/// else the first [`ChunkDefect`] found, testing in turn the chunk's own
+/// size word, top, the next chunk, the backward and forward neighbours
+/// `free` would coalesce with (glibc's safe-unlink test, `FD->bk == P &&
+/// BK->fd == P`), and the free-list head. Host-side: its reads burn no
+/// fuel.
+pub fn chunk_defect(p: &Proc, payload: VirtAddr, size: u64) -> Option<ChunkDefect> {
+    header_test(p, payload.sub(HDR), size).err()
+}
+
+fn header_test(p: &Proc, chunk: VirtAddr, size: u64) -> Result<(), ChunkDefect> {
+    use ChunkDefect::*;
+    let h = Headers::new(p);
+    let end = h.end();
+    let own = h.word(chunk.add(8))?;
+    let next = chunk.add(size);
+    if own & !15 != size || next >= end {
+        return Err(SizeForged);
     }
-    if cur != end {
-        return Err(format!("chunks overrun arena end: {cur} != {end}"));
+    let top = VirtAddr::new(h.word(HEAP_TOP)?);
+    if chunk == top {
+        return Err(TopForged);
+    }
+    let next_word = h.word(next.add(8))?;
+    if next_word & PREV_INUSE == 0 {
+        return Err(NextSaysFree);
+    }
+    if own & PREV_INUSE == 0 {
+        // Backward coalesce: `free` trusts prev_size and unlinks there.
+        let prev_size = h.word(chunk)?;
+        let prev = chunk.sub(prev_size);
+        if prev_size < MIN_CHUNK || prev_size % 16 != 0 || prev < HEAP_BASE || prev >= chunk
+        {
+            return Err(PrevForged);
+        }
+        if h.word(prev.add(8))? & !15 != prev_size || !h.unlinkable(prev.add(HDR))? {
+            return Err(PrevForged);
+        }
+    }
+    if next == top {
+        // `free` merges into the wilderness, trusting top's size.
+        if next_word & !15 != end.diff(top) {
+            return Err(TopForged);
+        }
+    } else {
+        // Forward coalesce: `free` unlinks next when the chunk after it
+        // has PREV_INUSE clear.
+        let next_size = next_word & !15;
+        if next_size < MIN_CHUNK || next.add(next_size) >= end {
+            return Err(NextForged);
+        }
+        let after = h.word(next.add(next_size).add(8))?;
+        if after & PREV_INUSE == 0 && !h.unlinkable(next.add(HDR))? {
+            return Err(NextForged);
+        }
+    }
+    let first = VirtAddr::new(h.word(FREELIST_HEAD)?);
+    if first == chunk.add(HDR) || h.word(first.add(8))? != FREELIST_HEAD.get() {
+        return Err(FreeListForged);
     }
     Ok(())
 }
 
-/// Alloc-free free-list scan: validates the list under [`free_list`]'s
-/// caps (a cycle shows up as an over-cap list) and reports whether
-/// `payload` is on it. `Ok`/`Err` outcomes match `free_list` for every
-/// list; only the cycle error *message* differs.
-fn free_list_lookup(p: &Proc, payload: Option<VirtAddr>) -> Result<bool, String> {
-    let mut found = false;
-    let mut seen = 0u64;
-    let mut cur = p
-        .mem
-        .read_ptr(FREELIST_HEAD)
-        .map_err(|e| format!("free list head unreadable: {e}"))?;
-    while cur != FREELIST_HEAD {
-        if seen > SCAN_CAP as u64 {
-            return Err("free list too long".into());
-        }
-        seen += 1;
-        if payload == Some(cur) {
-            found = true;
-        }
-        cur = p
-            .mem
-            .read_ptr(cur)
-            .map_err(|e| format!("free list link unreadable at {cur}: {e}"))?;
-    }
-    Ok(found)
+/// The words the header test reads, through borrowed views of the arena
+/// and of the allocator's private words (top, free-list head): each read
+/// costs a bounds check instead of a region lookup. Reads ignore
+/// protections, as every host-side heap inspection does; anything
+/// unmapped is [`ChunkDefect::Unreadable`].
+struct Headers<'a> {
+    p: &'a Proc,
+    arena: &'a [u8],
+    private: &'a [u8],
 }
 
-/// Alloc-free liveness check: is `ptr` the payload address of a live
-/// (allocated, non-top) chunk of a fully valid heap? Exactly equivalent
-/// to walking the heap with [`walk`] and testing
-/// `payload == ptr && !free && !is_top`, but without building the chunk
-/// or free-list vectors.
-pub fn live_payload(p: &Proc, ptr: VirtAddr) -> bool {
-    let mut hit: Option<bool> = None; // is_top of the chunk whose payload == ptr
-    if visit_chunks(p, |base, _size, _prev_inuse, is_top| {
-        if base.add(HDR) == ptr {
-            hit = Some(is_top);
-        }
-    })
-    .is_err()
-    {
-        return false; // heap too corrupt to vouch for
+impl<'a> Headers<'a> {
+    fn new(p: &'a Proc) -> Self {
+        let view = |base: VirtAddr| p.mem.peek_slice(base).unwrap_or_default();
+        Headers { p, arena: view(HEAP_BASE), private: view(FREELIST_HEAD) }
     }
-    match hit {
-        Some(false) => !free_list_lookup(p, Some(ptr)).unwrap_or(true),
-        _ => false,
+
+    fn end(&self) -> VirtAddr {
+        HEAP_BASE.add(self.arena.len() as u64)
+    }
+
+    fn word(&self, addr: VirtAddr) -> Result<u64, ChunkDefect> {
+        let within = |view: &[u8], base: VirtAddr| {
+            let off = addr.get().wrapping_sub(base.get()) as usize;
+            view.get(off..off.wrapping_add(8))
+                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        };
+        within(self.arena, HEAP_BASE)
+            .or_else(|| within(self.private, FREELIST_HEAD))
+            .or_else(|| self.p.mem.peek_u64(addr))
+            .ok_or(ChunkDefect::Unreadable)
+    }
+
+    /// Whether `unlink(payload)` would only rewrite genuine free-list
+    /// links: the chunk is not a live allocation and its neighbours on
+    /// the list point back at it (glibc's safe-unlink test).
+    fn unlinkable(&self, payload: VirtAddr) -> Result<bool, ChunkDefect> {
+        if self.p.live_chunks().get(payload).is_some() {
+            return Ok(false);
+        }
+        let (fd, bk) = (self.word(payload)?, self.word(payload.add(8))?);
+        Ok(self.word(VirtAddr::new(fd).add(8))? == payload.get()
+            && self.word(VirtAddr::new(bk))? == payload.get())
     }
 }
 
@@ -537,38 +628,15 @@ impl HeapOracle {
     }
 
     /// The extent from `addr` to the end of its live chunk's payload, or
-    /// `None` if `addr` is not inside live payload (or the heap is too
-    /// corrupt to walk — fall back to region extents then, like a real
-    /// wrapper would).
+    /// `None` if `addr` is outside the heap (defer to region extents).
+    /// Inside the heap only a live chunk's payload is a legal target:
+    /// chunk headers, free chunks, the wilderness and chunks whose
+    /// headers fail the consistency test all answer `Some(None)`.
     fn chunk_extent(&self, proc: &Proc, addr: VirtAddr) -> Option<Option<u64>> {
         if !in_heap(proc, addr) {
             return None; // not our jurisdiction
         }
-        // Alloc-free walk: validate the whole chain (any corruption means
-        // deferring to the region oracle, exactly as the vector-building
-        // `walk` did) while remembering the chunk containing `addr`.
-        let mut hit: Option<(VirtAddr, u64, bool)> = None;
-        if visit_chunks(proc, |base, size, _prev_inuse, is_top| {
-            if addr >= base && addr < base.add(size) {
-                hit = Some((base, size, is_top));
-            }
-        })
-        .is_err()
-        {
-            return None; // corrupted heap: defer to region oracle
-        }
-        let Some((base, size, is_top)) = hit else {
-            return Some(None);
-        };
-        let payload = base.add(HDR);
-        if is_top || addr < payload {
-            return Some(None); // header / wilderness
-        }
-        match free_list_lookup(proc, Some(payload)) {
-            Ok(true) => Some(None), // free chunk
-            Ok(false) => Some(Some(base.add(size).diff(addr))),
-            Err(_) => None,
-        }
+        Some(live_region(proc, addr).map(|(payload, len)| payload.add(len).diff(addr)))
     }
 }
 
@@ -781,6 +849,26 @@ mod tests {
             free(&mut p, ptr).unwrap();
         }
         check_invariants(&p).unwrap();
+    }
+
+    #[test]
+    fn live_chunk_index_follows_the_allocator() {
+        let mut p = proc_with_heap();
+        let a = malloc(&mut p, 40).unwrap();
+        let b = calloc(&mut p, 3, 8).unwrap();
+        assert_eq!(p.live_chunks().get(a), Some(chunk_size_for(40)));
+        assert_eq!(p.live_chunks().get(b), Some(chunk_size_for(24)));
+        let c = realloc(&mut p, a, 400).unwrap();
+        assert_eq!(p.live_chunks().get(a), None);
+        assert_eq!(p.live_chunks().get(c), Some(chunk_size_for(400)));
+        assert!(live_payload(&p, b) && live_payload(&p, c) && !live_payload(&p, a));
+        free(&mut p, b).unwrap();
+        assert_eq!(
+            p.live_chunks().iter().collect::<Vec<_>>(),
+            vec![(c, chunk_size_for(400))]
+        );
+        init_heap(&mut p).unwrap();
+        assert_eq!(p.live_chunks().iter().count(), 0);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 mod addr;
 mod calltable;
+mod chunks;
 mod cval;
 pub mod errno;
 mod fault;
@@ -45,6 +46,7 @@ mod proc;
 
 pub use addr::{Access, Prot, VirtAddr};
 pub use calltable::{CallTarget, FuncId, FuncTable, FUNC_STRIDE, SHELLCODE_MAGIC};
+pub use chunks::LiveChunks;
 pub use cval::CVal;
 pub use fault::Fault;
 pub use kernel::{Kernel, KernelError, OpenMode};

@@ -9,6 +9,7 @@
 
 use crate::addr::{Access, Prot, VirtAddr};
 use crate::calltable::{CallTarget, FuncId, FuncTable, SHELLCODE_MAGIC};
+use crate::chunks::LiveChunks;
 use crate::cval::CVal;
 use crate::fault::Fault;
 use crate::kernel::Kernel;
@@ -163,6 +164,9 @@ pub struct Proc {
     threads: Vec<SimThread>,
     /// Index of the currently running thread.
     cur_thread: u32,
+    /// The heap allocator's record of live chunks, shared by every
+    /// thread like the heap itself.
+    live_chunks: LiveChunks,
 }
 
 impl Default for Proc {
@@ -210,6 +214,7 @@ impl Proc {
                 memo: None,
             }],
             cur_thread: 0,
+            live_chunks: LiveChunks::default(),
         }
     }
 
@@ -295,6 +300,20 @@ impl Proc {
         // never changes after spawn, so this is safe for the current
         // thread too.
         &self.threads[tid.index()].name
+    }
+
+    // ----- the heap allocator's live-chunk record --------------------------
+
+    /// The live heap chunks the allocator has handed out and not yet
+    /// taken back.
+    pub fn live_chunks(&self) -> &LiveChunks {
+        &self.live_chunks
+    }
+
+    /// Mutable access for the allocator, which updates the record at its
+    /// own return points.
+    pub fn live_chunks_mut(&mut self) -> &mut LiveChunks {
+        &mut self.live_chunks
     }
 
     // ----- epoch-memoized pointer validation ------------------------------

@@ -268,16 +268,12 @@ impl SafePred {
                 if own.is_null() {
                     return true;
                 }
-                let ptr = own.as_ptr();
-                if !simlibc::heap::in_heap(proc, ptr) {
-                    return false;
-                }
                 // The pointer must be the payload of a *live* chunk:
-                // rejects interior pointers, the wilderness, and —
-                // crucially — already-freed chunks (double free).
-                // `live_payload` is the alloc-free equivalent of walking
-                // the heap and matching payload/free/top.
-                simlibc::heap::live_payload(proc, ptr)
+                // rejects wild and interior pointers, the wilderness, and
+                // — crucially — already-freed chunks (double free).
+                // `live_payload` answers from the allocator's live-chunk
+                // index plus an O(1) test of the headers `free` reads.
+                simlibc::heap::live_payload(proc, own.as_ptr())
             }
         }
     }
