@@ -41,7 +41,5 @@ pub use fleet::{
     policy_for, run_fleet_sim, FleetSimConfig, FleetSimOutcome, FleetSupervisor,
     BURST_WINDOW,
 };
-pub use server::{
-    run_server_sim, run_server_sim_with, server_wrapper, ServerConfig, ServerReport,
-};
+pub use server::{run_server_sim, server_wrapper, ServerConfig, ServerReport};
 pub use toolkit::{process_factory, Toolkit};

@@ -38,7 +38,7 @@
 use cdecl::{parse_prototype, TypedefTable};
 use injector::{classify, Outcome};
 use interpose::{Executable, Loader, Session, System};
-use profiler::{to_xml, FlightRecorder, Stats};
+use profiler::to_xml;
 use simproc::{CVal, Fault, ThreadId, VirtAddr};
 use typelattice::{RobustApi, RobustFunction, SafePred};
 use wrappergen::{build_wrapper, WrapperConfig, WrapperKind, WrapperLibrary};
@@ -104,8 +104,8 @@ pub struct ServerReport {
     /// Worker-count-invariant text report: byte-identical for the same
     /// seed at any worker count.
     pub canonical: String,
-    /// Worker-count-invariant telemetry XML from the wrapper's sharded
-    /// stats (`None` when running unprotected).
+    /// Worker-count-invariant telemetry XML from the wrapper's stats
+    /// (`None` when running unprotected).
     pub telemetry_xml: Option<String>,
 }
 
@@ -143,7 +143,7 @@ fn server_api() -> RobustApi {
 
 /// Builds the server's security wrapper: canaries on the allocator,
 /// terminating extent checks on the string functions, per-call latency
-/// telemetry into the sharded stats.
+/// telemetry into the wrapper's stats.
 pub fn server_wrapper() -> WrapperLibrary {
     build_wrapper(
         WrapperKind::Security,
@@ -353,23 +353,6 @@ fn handle_inner(
 /// On a broken harness (link failure, thread spawn failure) — never on
 /// request-level faults, which are contained and accounted.
 pub fn run_server_sim(cfg: &ServerConfig) -> ServerReport {
-    run_server_sim_with(cfg, None, None)
-}
-
-/// [`run_server_sim`] with optional *service-level* telemetry sinks:
-/// one `record_call("request", ...)` plus a latency sample per request
-/// into `service_stats`, and one flight record per contained request
-/// into `service_flight`. Both sinks are shared-by-`Arc` in the
-/// scale-out benchmark, where several **real** host threads each run a
-/// server shard and record concurrently — the sharded [`Stats`] and the
-/// [`FlightRecorder`] merging from genuinely parallel writers. Service
-/// telemetry never feeds the canonical report, so sharing sinks across
-/// racing shards cannot perturb the determinism gate.
-pub fn run_server_sim_with(
-    cfg: &ServerConfig,
-    service_stats: Option<&Stats>,
-    service_flight: Option<&FlightRecorder>,
-) -> ServerReport {
     let workers = cfg.workers.max(1);
     let adversarial = cfg.adversarial && cfg.protected;
 
@@ -405,25 +388,14 @@ pub fn run_server_sim_with(
         s.proc().switch_thread(tids[w]);
         s.proc().set_errno(0);
         let req = generate(cfg.seed, r, adversarial);
-        let before = s.proc().cycles();
         let result = handle(&mut s, fx, &mut table, &req, &mut quarantined);
         let errno_after = s.proc().errno();
-        let spent = s.proc().cycles() - before;
         per_worker[w] += 1;
         let outcome = classify(result, 0, errno_after).outcome;
-        if let Some(stats) = service_stats {
-            stats.record_call("request", spent, (errno_after != 0).then_some(errno_after));
-            stats.record_latency("request", "call", spent);
-        }
         match outcome {
             Outcome::Pass => ok += 1,
             Outcome::GracefulError => rejected += 1,
-            Outcome::Contained => {
-                contained += 1;
-                if let Some(flight) = service_flight {
-                    flight.record("request", &format!("r={r}"), "contained", spent);
-                }
-            }
+            Outcome::Contained => contained += 1,
             _ => faulted += 1,
         }
     }

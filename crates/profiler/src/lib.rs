@@ -68,4 +68,4 @@ pub use report::{
     render_robust_api_health, render_substitution_report, render_worker_report,
     AblationLine, LintLine, SubstitutionLine, WorkerLine,
 };
-pub use stats::{FuncStats, LatencyHistogram, MutexStats, Snapshot, Stats};
+pub use stats::{FuncStats, LatencyHistogram, Snapshot, Stats};

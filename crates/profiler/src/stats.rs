@@ -3,35 +3,22 @@
 //! execution time (deterministic cycles standing in for `rdtsc`) and
 //! log2-bucketed latency histograms per function and hook stage.
 //!
-//! # Sharding
+//! # One table per process
 //!
-//! [`Stats`] used to be one global mutex, which serialized every wrapped
-//! call the moment two threads shared a wrapper. It is now a fixed array
-//! of cache-line-aligned shards; each recording thread is pinned to one
-//! shard on first use, so threads on different shards never contend.
-//! [`Stats::snapshot`] merges all shards into one deterministic
-//! [`Snapshot`]: every merge is a commutative sum into sorted maps, so
-//! the merged result is independent of thread scheduling, and a
-//! single-threaded run produces byte-for-byte the same XML document as
-//! the pre-shard implementation. [`MutexStats`] preserves that pre-shard
-//! implementation for A/B contention benchmarks and equivalence tests.
+//! Like the paper's generated wrapper, whose counters are plain globals
+//! (`++call_counter_num_calls[i]`), a process keeps one table: [`Stats`]
+//! is a single mutex over a [`Snapshot`]. Every wrapper that records
+//! into it is driven from one host thread, so the lock is uncontended;
+//! threads that do share a table serialize on it and lose nothing.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use simproc::errno::MAX_ERRNO;
 
-/// Number of statistics shards. Threads are assigned round-robin; more
-/// threads than shards simply share (correctness never depends on
-/// exclusivity, only contention does).
-const NUM_SHARDS: usize = 16;
-
 /// A log2-bucketed latency histogram: bucket `0` counts zero-valued
 /// samples, bucket `b >= 1` counts samples in `[2^(b-1), 2^b - 1]`.
-/// Sparse — only buckets that received samples are stored — and merged
-/// by commutative sums, so shard merges are deterministic.
+/// Sparse — only buckets that received samples are stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: BTreeMap<u32, u64>,
@@ -74,13 +61,6 @@ impl LatencyHistogram {
         *self.buckets.entry(Self::bucket_of(value)).or_insert(0) += 1;
     }
 
-    /// Adds every bucket of `other` into `self` (shard merge).
-    pub fn merge_from(&mut self, other: &LatencyHistogram) {
-        for (b, n) in &other.buckets {
-            *self.buckets.entry(*b).or_insert(0) += n;
-        }
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.buckets.values().sum()
@@ -115,137 +95,13 @@ pub struct FuncStats {
     pub latency: BTreeMap<String, LatencyHistogram>,
 }
 
-/// The mergeable per-shard table (also the whole table of the pre-shard
-/// [`MutexStats`]).
-#[derive(Debug, Default)]
-struct StatsInner {
-    per_func: BTreeMap<String, FuncStats>,
-    /// Process-wide errno distribution (`collect errors`).
-    global_errnos: BTreeMap<i32, u64>,
-    total_cycles: u64,
-}
-
-impl StatsInner {
-    /// Looks up (or lazily creates) the per-function row. Lookups borrow
-    /// `func` so the hot path never allocates; the owned key is only
-    /// built the first time a function is seen.
-    fn func_entry(&mut self, func: &str) -> &mut FuncStats {
-        if !self.per_func.contains_key(func) {
-            self.per_func.insert(func.to_string(), FuncStats::default());
-        }
-        self.per_func.get_mut(func).expect("row just ensured")
-    }
-
-    fn record_call(&mut self, func: &str, cycles: u64, errno_changed_to: Option<i32>) {
-        let entry = self.func_entry(func);
-        entry.calls += 1;
-        entry.cycles += cycles;
-        if let Some(e) = errno_changed_to {
-            *entry.errnos.entry(bucket(e)).or_insert(0) += 1;
-        }
-        self.total_cycles += cycles;
-        if let Some(e) = errno_changed_to {
-            *self.global_errnos.entry(bucket(e)).or_insert(0) += 1;
-        }
-    }
-
-    fn record_count(&mut self, func: &str) {
-        self.func_entry(func).calls += 1;
-    }
-
-    fn record_cycles(&mut self, func: &str, cycles: u64) {
-        self.func_entry(func).cycles += cycles;
-        self.total_cycles += cycles;
-    }
-
-    fn record_func_errno(&mut self, func: &str, errno: i32) {
-        *self.func_entry(func).errnos.entry(bucket(errno)).or_insert(0) += 1;
-    }
-
-    fn record_global_errno(&mut self, errno: i32) {
-        *self.global_errnos.entry(bucket(errno)).or_insert(0) += 1;
-    }
-
-    fn record_latency(&mut self, func: &str, stage: &str, value: u64) {
-        let row = self.func_entry(func);
-        if let Some(hist) = row.latency.get_mut(stage) {
-            hist.record(value);
-        } else {
-            let mut hist = LatencyHistogram::new();
-            hist.record(value);
-            row.latency.insert(stage.to_string(), hist);
-        }
-    }
-
-    /// Adds everything recorded in `self` into `dst` — commutative and
-    /// associative, so the shard merge order never shows in a snapshot.
-    fn merge_into(&self, dst: &mut Snapshot) {
-        for (name, f) in &self.per_func {
-            let entry = dst.per_func.entry(name.clone()).or_default();
-            entry.calls += f.calls;
-            entry.cycles += f.cycles;
-            for (e, n) in &f.errnos {
-                *entry.errnos.entry(*e).or_insert(0) += n;
-            }
-            for (stage, hist) in &f.latency {
-                entry.latency.entry(stage.clone()).or_default().merge_from(hist);
-            }
-        }
-        for (e, n) in &self.global_errnos {
-            *dst.global_errnos.entry(*e).or_insert(0) += n;
-        }
-        dst.total_cycles += self.total_cycles;
-    }
-}
-
-/// One statistics shard, padded to a cache line so neighbouring shards
-/// never false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Shard {
-    inner: Mutex<StatsInner>,
-}
-
-/// Statistics for a whole profiled run. Shared by all hooks through an
-/// `Arc`, like the wrapper's globals. Recording threads write to
-/// per-thread shards without contention; [`Stats::snapshot`] merges
-/// deterministically.
-#[derive(Debug)]
-pub struct Stats {
-    shards: [Shard; NUM_SHARDS],
-}
-
-impl Default for Stats {
-    fn default() -> Self {
-        Stats { shards: std::array::from_fn(|_| Shard::default()) }
-    }
-}
-
-/// Round-robin assignment of threads to shards, fixed at a thread's
-/// first record. A plain counter (not the unstable `ThreadId` value)
-/// keeps the mapping cheap: one thread-local read per record.
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static SHARD_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn shard_index() -> usize {
-    SHARD_INDEX.with(|cell| {
-        let mut i = cell.get();
-        if i == usize::MAX {
-            i = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
-            cell.set(i);
-        }
-        i
-    })
-}
-
-/// A snapshot of collected statistics.
+/// A snapshot of collected statistics — also the live table [`Stats`]
+/// records into.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Per-function statistics, sorted by name.
     pub per_func: BTreeMap<String, FuncStats>,
-    /// Process-wide errno distribution.
+    /// Process-wide errno distribution (`collect errors`).
     pub global_errnos: BTreeMap<i32, u64>,
     /// Total cycles spent inside wrapped functions.
     pub total_cycles: u64,
@@ -270,6 +126,40 @@ impl Snapshot {
     pub fn has_latency(&self) -> bool {
         self.per_func.values().any(|f| !f.latency.is_empty())
     }
+
+    /// Looks up (or lazily creates) the per-function row. Lookups borrow
+    /// `func` so the hot path never allocates; the owned key is only
+    /// built the first time a function is seen.
+    fn func_entry(&mut self, func: &str) -> &mut FuncStats {
+        if !self.per_func.contains_key(func) {
+            self.per_func.insert(func.to_string(), FuncStats::default());
+        }
+        self.per_func.get_mut(func).expect("row just ensured")
+    }
+
+    fn record_call(&mut self, func: &str, cycles: u64, errno_changed_to: Option<i32>) {
+        let entry = self.func_entry(func);
+        entry.calls += 1;
+        entry.cycles += cycles;
+        if let Some(e) = errno_changed_to {
+            *entry.errnos.entry(bucket(e)).or_insert(0) += 1;
+        }
+        self.total_cycles += cycles;
+        if let Some(e) = errno_changed_to {
+            *self.global_errnos.entry(bucket(e)).or_insert(0) += 1;
+        }
+    }
+
+    fn record_latency(&mut self, func: &str, stage: &str, value: u64) {
+        let row = self.func_entry(func);
+        if let Some(hist) = row.latency.get_mut(stage) {
+            hist.record(value);
+        } else {
+            let mut hist = LatencyHistogram::new();
+            hist.record(value);
+            row.latency.insert(stage.to_string(), hist);
+        }
+    }
 }
 
 fn bucket(errno: i32) -> i32 {
@@ -280,125 +170,63 @@ fn bucket(errno: i32) -> i32 {
     }
 }
 
+/// Statistics for a whole profiled run: one table behind one lock,
+/// shared by all hooks through an `Arc`, like the wrapper's globals.
+#[derive(Debug, Default)]
+pub struct Stats {
+    table: Mutex<Snapshot>,
+}
+
 impl Stats {
     /// Creates an empty statistics table.
     pub fn new() -> Self {
         Stats::default()
     }
 
-    fn shard(&self) -> &Shard {
-        &self.shards[shard_index()]
-    }
-
     /// Records one completed call. `errno_changed_to` carries the errno
     /// value if the call changed errno (the `func errors` /
     /// `collect errors` condition in Figure 3).
     pub fn record_call(&self, func: &str, cycles: u64, errno_changed_to: Option<i32>) {
-        self.shard().inner.lock().record_call(func, cycles, errno_changed_to);
+        self.table.lock().record_call(func, cycles, errno_changed_to);
     }
 
     /// `call counter` micro-generator: one more call of `func`.
     pub fn record_count(&self, func: &str) {
-        self.shard().inner.lock().record_count(func);
+        self.table.lock().func_entry(func).calls += 1;
     }
 
     /// `function exectime` micro-generator: cycles spent inside `func`.
     pub fn record_cycles(&self, func: &str, cycles: u64) {
-        self.shard().inner.lock().record_cycles(func, cycles);
+        let mut table = self.table.lock();
+        table.func_entry(func).cycles += cycles;
+        table.total_cycles += cycles;
     }
 
     /// `func errors` micro-generator: `func` changed errno to `errno`.
     pub fn record_func_errno(&self, func: &str, errno: i32) {
-        self.shard().inner.lock().record_func_errno(func, errno);
+        *self.table.lock().func_entry(func).errnos.entry(bucket(errno)).or_insert(0) += 1;
     }
 
     /// `collect errors` micro-generator: process-wide errno histogram.
     pub fn record_global_errno(&self, errno: i32) {
-        self.shard().inner.lock().record_global_errno(errno);
+        *self.table.lock().global_errnos.entry(bucket(errno)).or_insert(0) += 1;
     }
 
     /// Adds one sample to the log2 latency histogram of `func`'s `stage`
     /// (`"call"` for the wrapped call itself; hooks use their own stage
     /// names such as `"check"` or `"heal"`).
     pub fn record_latency(&self, func: &str, stage: &str, value: u64) {
-        self.shard().inner.lock().record_latency(func, stage, value);
+        self.table.lock().record_latency(func, stage, value);
     }
 
-    /// Takes a consistent, deterministic snapshot: shards are locked in
-    /// index order and merged by commutative sums into sorted maps, so
-    /// the same recorded multiset of events always yields the same
-    /// snapshot regardless of which thread recorded what.
+    /// Takes a consistent snapshot: a copy of the table under its lock.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        for shard in &self.shards {
-            shard.inner.lock().merge_into(&mut snap);
-        }
-        snap
+        self.table.lock().clone()
     }
 
     /// Clears everything (a fresh profiling run).
     pub fn reset(&self) {
-        for shard in &self.shards {
-            *shard.inner.lock() = StatsInner::default();
-        }
-    }
-}
-
-/// The pre-shard statistics implementation: the same recording API as
-/// [`Stats`] behind one global mutex. Kept as the baseline side of the
-/// telemetry contention benchmark and for sharded-vs-mutex equivalence
-/// tests; new code should use [`Stats`].
-#[derive(Debug, Default)]
-pub struct MutexStats {
-    inner: Mutex<StatsInner>,
-}
-
-impl MutexStats {
-    /// Creates an empty statistics table.
-    pub fn new() -> Self {
-        MutexStats::default()
-    }
-
-    /// See [`Stats::record_call`].
-    pub fn record_call(&self, func: &str, cycles: u64, errno_changed_to: Option<i32>) {
-        self.inner.lock().record_call(func, cycles, errno_changed_to);
-    }
-
-    /// See [`Stats::record_count`].
-    pub fn record_count(&self, func: &str) {
-        self.inner.lock().record_count(func);
-    }
-
-    /// See [`Stats::record_cycles`].
-    pub fn record_cycles(&self, func: &str, cycles: u64) {
-        self.inner.lock().record_cycles(func, cycles);
-    }
-
-    /// See [`Stats::record_func_errno`].
-    pub fn record_func_errno(&self, func: &str, errno: i32) {
-        self.inner.lock().record_func_errno(func, errno);
-    }
-
-    /// See [`Stats::record_global_errno`].
-    pub fn record_global_errno(&self, errno: i32) {
-        self.inner.lock().record_global_errno(errno);
-    }
-
-    /// See [`Stats::record_latency`].
-    pub fn record_latency(&self, func: &str, stage: &str, value: u64) {
-        self.inner.lock().record_latency(func, stage, value);
-    }
-
-    /// Takes a consistent snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        self.inner.lock().merge_into(&mut snap);
-        snap
-    }
-
-    /// Clears everything.
-    pub fn reset(&self) {
-        *self.inner.lock() = StatsInner::default();
+        *self.table.lock() = Snapshot::default();
     }
 }
 
@@ -511,20 +339,6 @@ mod tests {
         // Latency never leaks into the classic counters.
         assert_eq!(snap.per_func["memcpy"].calls, 0);
         assert_eq!(snap.total_cycles, 0);
-    }
-
-    #[test]
-    fn sharded_and_mutex_stats_agree() {
-        let sharded = Stats::new();
-        let mutexed = MutexStats::new();
-        for i in 0..100u64 {
-            let errno = if i % 10 == 0 { Some(ENOENT) } else { None };
-            sharded.record_call("fopen", i, errno);
-            mutexed.record_call("fopen", i, errno);
-            sharded.record_latency("fopen", "call", i);
-            mutexed.record_latency("fopen", "call", i);
-        }
-        assert_eq!(sharded.snapshot(), mutexed.snapshot());
     }
 
     #[test]

@@ -829,7 +829,7 @@ impl WrappedFn {
         if let Some(recorder) = &t.flight {
             // Render into a recycled thread-local buffer: the epilogue
             // itself stays allocation-free (the recorder's ring buffer
-            // copies out of it under its shard lock).
+            // copies out of it under its lock).
             ARGS_BUF.with(|b| {
                 let mut s = b.borrow_mut();
                 s.clear();

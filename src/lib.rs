@@ -49,8 +49,8 @@ pub use typelattice;
 pub use wrappergen;
 
 pub use healers_core::{
-    as_preload_library, process_factory, run_server_sim, run_server_sim_with,
-    server_wrapper, ServerConfig, ServerReport, Toolkit,
+    as_preload_library, process_factory, run_server_sim, server_wrapper, ServerConfig,
+    ServerReport, Toolkit,
 };
 pub use injector::{
     run_cross_thread_quorum, CampaignConfig, CampaignResult, CheckpointJournal,

@@ -3,10 +3,11 @@
 //! (quarantine), so the live heap grows with the run. Every `free` the
 //! security wrapper checks must therefore cost the same at request
 //! 300 000 as at request 10 000: in metered cycles, which are
-//! deterministic, and in host time, which is not:
+//! deterministic, and in host time, which is not. Both hold in every
+//! build profile:
 //!
 //! ```sh
-//! cargo test --release --test server_run_length
+//! cargo test --test server_run_length
 //! ```
 
 use std::time::{Duration, Instant};
@@ -30,15 +31,9 @@ fn best_of(runs: usize, requests: u64) -> (ServerReport, Duration) {
         .expect("at least one run")
 }
 
-/// Debug builds also compare the canary registry's two views of its live
-/// set on every mutation, at a cost linear in that set, so host time is
-/// compared only without debug assertions (CI runs this test with
-/// `--release`). Cycles are compared in every build.
-const TIMED: bool = !cfg!(debug_assertions);
-
 #[test]
 fn request_cost_stays_flat_from_10k_to_300k_requests() {
-    let runs = if TIMED { 3 } else { 1 };
+    let runs = 3;
     // A run with no requests costs the wrapper build, link and process
     // set-up; subtracting it leaves the time spent serving.
     let (_, setup) = best_of(runs, 0);
@@ -63,9 +58,6 @@ fn request_cost_stays_flat_from_10k_to_300k_requests() {
          {long_cycles:.2} at 300k"
     );
 
-    if !TIMED {
-        return;
-    }
     let ns = |t: Duration, n: f64| t.saturating_sub(setup).as_nanos() as f64 / n;
     let (short_ns, long_ns) = (ns(short_time, 1e4), ns(long_time, 3e5));
     assert!(

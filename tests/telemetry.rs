@@ -1,13 +1,13 @@
-//! Integration tests for the sharded wrapper telemetry: concurrent
-//! recording merges losslessly, the merged XML document is deterministic
-//! (and byte-identical to the pre-shard single-mutex format), and the
-//! flight recorder captures the last calls before a detected attack.
+//! Integration tests for the wrapper telemetry: concurrent recording
+//! into one table loses nothing and invents nothing, the XML document is
+//! deterministic, and the flight recorder captures the last calls before
+//! a detected attack.
 
 use std::sync::Arc;
 
 use healers::injector::{run_campaign, targets_from_simlibc, CampaignConfig};
 use healers::interpose::{Executable, Session};
-use healers::profiler::{render_fault_report, to_xml, MutexStats, Stats};
+use healers::profiler::{render_fault_report, to_xml, Stats};
 use healers::simproc::{CVal, Fault};
 use healers::{process_factory, Toolkit, WrapperConfig, WrapperKind};
 
@@ -26,18 +26,12 @@ fn record_thread_workload(stats: &Stats, t: usize) {
     stats.record_global_errno(22);
 }
 
-/// The same workload replayed serially into the single-mutex baseline —
-/// the ground truth the sharded merge must reproduce exactly.
-fn ground_truth() -> MutexStats {
-    let stats = MutexStats::default();
+/// The same workload recorded serially — the ground truth a racing run
+/// must reproduce exactly.
+fn ground_truth() -> Stats {
+    let stats = Stats::default();
     for t in 0..THREADS {
-        for i in 0..500u64 {
-            let func = FUNCS[(t + i as usize) % FUNCS.len()];
-            let errno = if i % 10 == 0 { Some(2) } else { None };
-            stats.record_call(func, 100 + (i % 7), errno);
-            stats.record_latency(func, "call", 100 + (i % 7));
-        }
-        stats.record_global_errno(22);
+        record_thread_workload(&stats, t);
     }
     stats
 }
@@ -59,43 +53,25 @@ fn concurrent_merge_equals_serial_ground_truth() {
     assert_eq!(
         stats.snapshot(),
         ground_truth().snapshot(),
-        "sharded merge must lose nothing and invent nothing"
+        "racing recorders must lose nothing and invent nothing"
     );
 }
 
 #[test]
 fn merged_xml_is_byte_identical_across_runs() {
-    // Two racy 8-thread runs of the same workload: the shard each thread
-    // lands on differs between runs, but the merged document must not.
+    // Two racy 8-thread runs of the same workload: the order in which
+    // threads take the lock differs between runs, but the document must
+    // not.
     let a = to_xml("app", "profiling", &concurrent_run().snapshot());
     let b = to_xml("app", "profiling", &concurrent_run().snapshot());
-    assert_eq!(a, b, "snapshot merge order leaked into the XML document");
-}
-
-#[test]
-fn sharded_xml_matches_the_mutex_baseline_format() {
-    // Single-threaded, identical recording sequence into both designs:
-    // the sharded document must be byte-for-byte the pre-shard format.
-    let sharded = Stats::default();
-    let mutexed = MutexStats::default();
-    for i in 0..200u64 {
-        let func = FUNCS[i as usize % FUNCS.len()];
-        let errno = if i % 9 == 0 { Some(13) } else { None };
-        sharded.record_call(func, 50 + i, errno);
-        mutexed.record_call(func, 50 + i, errno);
-        sharded.record_latency(func, "check", i + 1);
-        mutexed.record_latency(func, "check", i + 1);
-    }
-    let a = to_xml("app", "profiling", &sharded.snapshot());
-    let b = to_xml("app", "profiling", &mutexed.snapshot());
-    assert_eq!(a, b);
+    assert_eq!(a, b, "recording order leaked into the XML document");
 }
 
 /// The server-scale merge-discipline check: the telemetry document an
 /// 8-worker threaded server ships must be byte-identical to the serial
 /// (1-worker) ground truth for the same seed. Worker-private state
 /// (stacks, errno, memo tables) must never leak into the wrapper's
-/// sharded stats; only the global request order may.
+/// stats; only the global request order may.
 #[test]
 fn threaded_server_xml_is_byte_identical_to_the_serial_ground_truth() {
     let base =
