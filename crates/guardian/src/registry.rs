@@ -8,7 +8,7 @@
 //! verify the canary *before* the allocator's `unlink` ever touches
 //! attacker-controlled metadata.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -43,63 +43,14 @@ impl GuardedAlloc {
     }
 }
 
-/// The two views of the live set, updated together under one lock:
-/// a hash map for the per-call exact lookups (`verify`/`release` — the
-/// paper's O(1) buffer-length table) and an ordered map for the range
-/// queries the extent oracle needs (`extent_within`/`contains`).
-#[derive(Debug, Default)]
-struct LiveSet {
-    by_payload: HashMap<u64, GuardedAlloc>,
-    sorted: BTreeMap<u64, GuardedAlloc>,
-}
-
-impl LiveSet {
-    /// Inserts `alloc` into both views as one step. Mutations go through
-    /// here (and [`LiveSet::remove`]) only, so no code path can leave the
-    /// views disagreeing at lock release.
-    fn insert(&mut self, alloc: GuardedAlloc) {
-        self.by_payload.insert(alloc.payload.get(), alloc);
-        self.sorted.insert(alloc.payload.get(), alloc);
-        debug_assert!(
-            self.agree_on(alloc.payload.get()),
-            "live-set views diverged on insert"
-        );
-    }
-
-    /// Removes `payload` from both views as one step.
-    fn remove(&mut self, payload: u64) -> Option<GuardedAlloc> {
-        let a = self.by_payload.remove(&payload);
-        let b = self.sorted.remove(&payload);
-        debug_assert_eq!(
-            a.is_some(),
-            b.is_some(),
-            "views disagreed about {payload:#x} before remove"
-        );
-        debug_assert!(self.agree_on(payload), "live-set views diverged on remove");
-        a
-    }
-
-    /// The per-mutation form of [`LiveSet::views_agree`], cheap enough to
-    /// assert on every insert and remove: both views hold `payload` or
-    /// both lack it, and they hold equally many entries.
-    fn agree_on(&self, payload: u64) -> bool {
-        self.by_payload.contains_key(&payload) == self.sorted.contains_key(&payload)
-            && self.by_payload.len() == self.sorted.len()
-    }
-
-    /// The invariant every mutation re-establishes before the lock drops:
-    /// both views hold exactly the same payload set.
-    fn views_agree(&self) -> bool {
-        self.by_payload.len() == self.sorted.len()
-            && self.sorted.keys().all(|k| self.by_payload.contains_key(k))
-    }
-}
-
 /// Registry of live protected allocations. Shared between the wrapper
 /// hooks via `Arc`.
 #[derive(Debug, Default)]
 pub struct CanaryRegistry {
-    live: Mutex<LiveSet>,
+    /// The live set by payload address: one ordered map answers both
+    /// the exact lookups of `verify`/`release` and the range queries of
+    /// the extent oracle (`extent_within`/`region_of`/`contains`).
+    live: Mutex<BTreeMap<u64, GuardedAlloc>>,
     /// Monotonic epoch, bumped whenever the live set changes
     /// (`protect`/`release`). Extent answers derived from the registry are
     /// reproducible while the epoch holds still, which is what lets
@@ -151,7 +102,7 @@ impl CanaryRegistry {
         let alloc = GuardedAlloc { payload, requested };
         proc.mem.write_u64(alloc.canary_addr(), canary_value(payload))?;
         let mut live = self.live.lock();
-        // Bump strictly *before* the views change (`Release`, pairing with
+        // Bump strictly *before* the live set changes (`Release`, pairing with
         // the `Acquire` load in [`CanaryRegistry::epoch`]): the wrapper
         // fast path reads the epoch without taking this lock, and a
         // reader that still observes the old value must be able to
@@ -159,7 +110,7 @@ impl CanaryRegistry {
         // verdict can then at worst go stale-but-safe (the check re-runs
         // needlessly), never fresh-but-wrong (a needed check skipped).
         self.epoch.fetch_add(1, Ordering::Release);
-        live.insert(alloc);
+        live.insert(payload.get(), alloc);
         Ok(())
     }
 
@@ -175,23 +126,21 @@ impl CanaryRegistry {
         proc: &Proc,
         payload: VirtAddr,
     ) -> Result<Option<GuardedAlloc>, Violation> {
-        let guard = self.live.lock();
-        let Some(alloc) = guard.by_payload.get(&payload.get()).copied() else {
+        let Some(alloc) = self.live.lock().get(&payload.get()).copied() else {
             return Ok(None);
         };
-        drop(guard);
         check_canary(proc, alloc)
     }
 
     /// Removes an allocation from protection (it is being freed).
     pub fn release(&self, payload: VirtAddr) -> Option<GuardedAlloc> {
         let mut live = self.live.lock();
-        if !live.by_payload.contains_key(&payload.get()) {
+        if !live.contains_key(&payload.get()) {
             return None;
         }
         // Bump-before-mutate, same reasoning as in `protect`.
         self.epoch.fetch_add(1, Ordering::Release);
-        live.remove(payload.get())
+        live.remove(&payload.get())
     }
 
     /// The registry's validation epoch: advances on every `protect` and
@@ -199,15 +148,6 @@ impl CanaryRegistry {
     /// (`Acquire`, pairing with the `Release` bumps).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Whether the exact-lookup and range-query views currently hold the
-    /// same payload set — the invariant every mutation re-establishes
-    /// before its lock releases. A full comparison, linear in the live
-    /// set, exposed for concurrency stress tests; debug builds assert
-    /// only its per-mutation form (the touched key and both lengths).
-    pub fn views_agree(&self) -> bool {
-        self.live.lock().views_agree()
     }
 
     /// Sweeps every live canary — the wrapper runs this at process exit
@@ -219,7 +159,7 @@ impl CanaryRegistry {
     pub fn sweep(&self, proc: &Proc) -> Result<(), Violation> {
         let live = self.live.lock();
         // Address order, so "first violation" stays deterministic.
-        for alloc in live.sorted.values() {
+        for alloc in live.values() {
             check_canary(proc, *alloc)?;
         }
         Ok(())
@@ -230,7 +170,7 @@ impl CanaryRegistry {
     pub fn extent_within(&self, addr: VirtAddr) -> Option<u64> {
         let guard = self.live.lock();
         // The allocation with the greatest payload <= addr.
-        let (_, alloc) = guard.sorted.range(..=addr.get()).next_back()?;
+        let (_, alloc) = guard.range(..=addr.get()).next_back()?;
         let end = alloc.payload.add(alloc.requested);
         if addr >= alloc.payload && addr < end {
             Some(end.diff(addr))
@@ -240,11 +180,11 @@ impl CanaryRegistry {
     }
 
     /// The protected allocation whose payload contains `addr`, if any —
-    /// the precise-object answer the oblivious shadow-write ledger needs
-    /// to attribute a suppressed write to a base address and size.
+    /// the precise-object answer an oblivious absorption needs to
+    /// attribute a suppressed write to a base address and size.
     pub fn region_of(&self, addr: VirtAddr) -> Option<GuardedAlloc> {
         let guard = self.live.lock();
-        let (_, alloc) = guard.sorted.range(..=addr.get()).next_back()?;
+        let (_, alloc) = guard.range(..=addr.get()).next_back()?;
         if addr >= alloc.payload && addr < alloc.payload.add(alloc.requested) {
             Some(*alloc)
         } else {
@@ -256,7 +196,7 @@ impl CanaryRegistry {
     /// guard word).
     pub fn contains(&self, addr: VirtAddr) -> bool {
         let guard = self.live.lock();
-        match guard.sorted.range(..=addr.get()).next_back() {
+        match guard.range(..=addr.get()).next_back() {
             Some((_, alloc)) => {
                 addr >= alloc.payload && addr < alloc.canary_addr().add(CANARY_LEN)
             }
@@ -266,12 +206,12 @@ impl CanaryRegistry {
 
     /// Number of live protected allocations.
     pub fn len(&self) -> usize {
-        self.live.lock().by_payload.len()
+        self.live.lock().len()
     }
 
     /// `true` when nothing is protected.
     pub fn is_empty(&self) -> bool {
-        self.live.lock().by_payload.is_empty()
+        self.live.lock().is_empty()
     }
 }
 
@@ -381,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_register_verify_release_keeps_views_agreeing() {
+    fn concurrent_register_verify_release_keeps_the_live_set_exact() {
         use std::sync::Arc;
         const THREADS: u64 = 8;
         const OPS: u64 = 400;
@@ -391,7 +331,7 @@ mod tests {
                 let reg = Arc::clone(&reg);
                 s.spawn(move || {
                     // Each thread registers addresses from its own arena;
-                    // the *registry* (views, lock, epoch) is the shared
+                    // the *registry* (live set, lock, epoch) is the shared
                     // state under attack.
                     let mut p = Proc::new();
                     let base = VirtAddr::new(0x5000_0000 + t * 0x10_0000);
@@ -401,7 +341,7 @@ mod tests {
                         let ptr = base.add((i % 64) * 64);
                         reg.protect(&mut p, ptr, 24).unwrap();
                         assert!(reg.verify(&p, ptr).unwrap().is_some());
-                        assert!(reg.views_agree(), "views diverged under contention");
+                        assert_eq!(reg.extent_within(ptr), Some(24));
                         let e = reg.epoch();
                         assert!(e >= last_epoch, "epoch went backwards");
                         last_epoch = e;
@@ -412,7 +352,6 @@ mod tests {
             }
         });
         assert!(reg.is_empty());
-        assert!(reg.views_agree());
         // Every protect and every successful release bumped exactly once.
         assert_eq!(reg.epoch(), THREADS * OPS * 2);
     }

@@ -177,10 +177,10 @@ struct ObliviousReport {
 }
 
 /// The availability mode's per-call price: a healing wrapper whose
-/// uniform policy is `Oblivious` carries the audit ledger, so every
-/// call runs the dynamic pipeline. `accept` is the common case (valid
-/// arguments, checks pass); `absorb` is the worst case (every call a
-/// violation: manufactured read + ledger + journal entry).
+/// uniform policy is `Oblivious` tracks taint, so every call runs the
+/// dynamic pipeline. `accept` is the common case (valid arguments,
+/// checks pass); `absorb` is the worst case (every call a violation:
+/// manufactured read + journal entry).
 fn bench_oblivious() -> ObliviousReport {
     let t = TypedefTable::with_builtins();
     let api = RobustApi {

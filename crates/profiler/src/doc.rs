@@ -6,9 +6,7 @@
 use cdecl::xml::{unescape, XmlWriter};
 use simproc::errno::errno_name;
 
-use crate::flight::FlightRecord;
-use crate::journal::HealEvent;
-use crate::oblivious::ObliviousSnapshot;
+use crate::journal::{FlightRecord, HealEvent, ObliviousSnapshot};
 use crate::stats::Snapshot;
 
 /// Serialises a profiling snapshot into the self-describing document
@@ -69,16 +67,19 @@ pub struct DocSections<'a> {
     /// argument, violated robust type, violation class, action taken and
     /// a description of the repair.
     pub healing: Option<&'a [HealEvent]>,
+    /// Decisions the journal counted past its cap instead of keeping; a
+    /// non-zero count adds a `dropped` attribute to `<healing>`.
+    pub healing_dropped: u64,
     /// The flight-recorder tail of last-N calls, rendered as a
     /// `<flight-recorder>` section when non-empty.
     pub flight: &'a [FlightRecord],
-    /// The oblivious-execution audit, rendered as an `<oblivious>`
-    /// section when non-empty: one `<read>` per manufactured value, one
-    /// `<write>` per suppressed out-of-bounds write with its
-    /// precise-object attribution, one `<use>` per downstream call that
-    /// consumed a tainted value. An empty audit renders byte-identically
-    /// to no audit — the section only appears when there is something to
-    /// disclose.
+    /// The oblivious absorptions and tainted uses, rendered as an
+    /// `<oblivious>` section when non-empty: one `<read>` per
+    /// manufactured value, one `<write>` per suppressed out-of-bounds
+    /// write with its precise-object attribution, one `<use>` per
+    /// downstream call that consumed a tainted value. An empty view
+    /// renders byte-identically to none — the section only appears when
+    /// there is something to disclose.
     pub oblivious: Option<&'a ObliviousSnapshot>,
 }
 
@@ -91,7 +92,8 @@ pub fn render_document(
     snap: &Snapshot,
     sections: &DocSections<'_>,
 ) -> String {
-    let DocSections { meta, healing: events, flight, oblivious } = *sections;
+    let DocSections { meta, healing: events, healing_dropped, flight, oblivious } =
+        *sections;
     let oblivious = oblivious.filter(|o| !o.is_empty());
     let mut w = XmlWriter::new();
     let mut root_attrs = vec![
@@ -185,15 +187,22 @@ pub fn render_document(
         );
     }
     w.close();
+    // Argument indices are 1-based in documents; `-` for none.
+    let arg_str =
+        |arg: Option<usize>| arg.map(|i| (i + 1).to_string()).unwrap_or_else(|| "-".into());
     if let Some(events) = events {
-        w.open("healing", &[("events", &events.len().to_string())]);
+        let (count, dropped) = (events.len().to_string(), healing_dropped.to_string());
+        let mut attrs = vec![("events", count.as_str())];
+        if healing_dropped > 0 {
+            attrs.push(("dropped", dropped.as_str()));
+        }
+        w.open("healing", &attrs);
         for ev in events {
-            let arg = ev.arg.map(|i| (i + 1).to_string()).unwrap_or_else(|| "-".into());
             w.leaf(
                 "event",
                 &[
                     ("function", ev.func.as_str()),
-                    ("arg", &arg),
+                    ("arg", &arg_str(ev.arg)),
                     ("class", ev.class.as_str()),
                     ("action", ev.action.tag()),
                     ("violation", ev.violation.as_str()),
@@ -219,43 +228,42 @@ pub fn render_document(
         w.close();
     }
     if let Some(o) = oblivious {
-        let arg_str = |arg: Option<usize>| {
-            arg.map(|i| (i + 1).to_string()).unwrap_or_else(|| "-".into())
-        };
+        let reads: Vec<_> = o.reads().collect();
+        let writes: Vec<_> = o.writes().collect();
         w.open(
             "oblivious",
             &[
-                ("reads", &o.reads.len().to_string()),
-                ("writes", &o.writes.len().to_string()),
+                ("reads", &reads.len().to_string()),
+                ("writes", &writes.len().to_string()),
                 ("uses", &o.uses.len().to_string()),
                 ("dropped", &o.dropped.to_string()),
             ],
         );
-        for r in &o.reads {
+        for (ev, r) in reads {
             w.leaf(
                 "read",
                 &[
-                    ("function", r.func.as_str()),
-                    ("arg", &arg_str(r.arg)),
+                    ("function", ev.func.as_str()),
+                    ("arg", &arg_str(ev.arg)),
                     ("class", r.class.as_str()),
                     ("role", r.role.as_str()),
                     ("value", r.value.as_str()),
-                    ("detail", r.detail.as_str()),
+                    ("detail", ev.detail.as_str()),
                 ],
             );
         }
-        for s in &o.writes {
+        for (ev, s) in writes {
             w.leaf(
                 "write",
                 &[
-                    ("function", s.func.as_str()),
+                    ("function", ev.func.as_str()),
                     ("arg", &arg_str(s.arg)),
                     ("addr", &format!("{:#x}", s.addr)),
                     ("object-base", &format!("{:#x}", s.object_base)),
                     ("object-extent", &s.object_extent.to_string()),
                     ("attempted", &s.attempted.to_string()),
                     ("clipped", &s.clipped.to_string()),
-                    ("detail", s.detail.as_str()),
+                    ("detail", ev.detail.as_str()),
                 ],
             );
         }
@@ -465,6 +473,7 @@ mod tests {
             class: "unterminated-string".into(),
             action: HealAction::Repaired,
             detail: "NUL-terminated buffer at offset 15".into(),
+            absorbed: None,
         }];
         let sections = DocSections { healing: Some(&events), ..DocSections::default() };
         let doc = render_document("editor", "healing", &sample(), &sections);
@@ -505,7 +514,7 @@ mod tests {
 
     #[test]
     fn flight_section_is_self_describing() {
-        use crate::flight::FlightRecord;
+        use crate::journal::FlightRecord;
         let tail = vec![
             FlightRecord {
                 func: "malloc".into(),
@@ -548,28 +557,43 @@ mod tests {
 
     #[test]
     fn oblivious_section_is_self_describing() {
-        use crate::oblivious::{
-            ManufacturedRead, ObliviousSnapshot, ShadowWrite, TaintedUse,
+        use crate::journal::{
+            Absorption, HealAction, HealEvent, ManufacturedRead, ObliviousSnapshot,
+            ShadowWrite, TaintedUse,
+        };
+        let absorbed = |func: &str, absorbed: Absorption, detail: &str| HealEvent {
+            func: func.into(),
+            arg: Some(0),
+            violation: String::new(),
+            class: "null-pointer".into(),
+            action: HealAction::Obliviated,
+            detail: detail.into(),
+            absorbed: Some(absorbed),
         };
         let snap = ObliviousSnapshot {
-            reads: vec![ManufacturedRead {
-                func: "strlen".into(),
-                arg: Some(0),
-                class: "null-pointer".into(),
-                role: "cstr-scan".into(),
-                value: "0".into(),
-                detail: "NULL scanned as empty string".into(),
-            }],
-            writes: vec![ShadowWrite {
-                func: "strcpy".into(),
-                arg: Some(0),
-                addr: 0x5000,
-                object_base: 0x5000,
-                object_extent: 8,
-                attempted: 20,
-                clipped: 12,
-                detail: "overflowing copy suppressed".into(),
-            }],
+            absorbed: vec![
+                absorbed(
+                    "strcpy",
+                    Absorption::Write(ShadowWrite {
+                        arg: Some(0),
+                        addr: 0x5000,
+                        object_base: 0x5000,
+                        object_extent: 8,
+                        attempted: 20,
+                        clipped: 12,
+                    }),
+                    "overflowing copy suppressed",
+                ),
+                absorbed(
+                    "strlen",
+                    Absorption::Read(ManufacturedRead {
+                        class: "null-pointer".into(),
+                        role: "cstr-scan".into(),
+                        value: "0".into(),
+                    }),
+                    "NULL scanned as empty string",
+                ),
+            ],
             uses: vec![TaintedUse { func: "puts".into(), arg: 0, value: "0x5000".into() }],
             dropped: 0,
         };
@@ -584,6 +608,8 @@ mod tests {
         assert!(doc.contains("object-base=\"0x5000\""), "{doc}");
         assert!(doc.contains("clipped=\"12\""), "{doc}");
         assert!(doc.contains("<use function=\"puts\" arg=\"1\""), "{doc}");
+        // Reads render before writes whatever their record order.
+        assert!(doc.find("<read ").unwrap() < doc.find("<write ").unwrap(), "{doc}");
         // Fleet ingest decodes the disclosure counts.
         let parsed = parse_fleet_document(&doc).unwrap();
         assert_eq!(parsed.oblivious_reads, 1);
@@ -595,7 +621,7 @@ mod tests {
     fn empty_oblivious_audit_matches_plain_document() {
         let snap = sample();
         let plain = to_xml("app", "profiling", &snap);
-        let empty = crate::oblivious::ObliviousSnapshot::default();
+        let empty = crate::journal::ObliviousSnapshot::default();
         let audited = render_document(
             "app",
             "profiling",

@@ -8,9 +8,14 @@
 //!   exectime`, `func errors` and `collect errors` micro-generators write
 //!   into (cycles come from the simulated process's deterministic
 //!   counter, standing in for `rdtsc`);
+//! * [`WrapperJournal`] — one bounded record per wrapper library of
+//!   every decision it took (heals, containments, oblivious absorptions),
+//!   the downstream uses of manufactured values, and a ring of the last
+//!   calls;
 //! * [`render_document`] — the self-describing XML document shipped at
-//!   process termination (§2.3), with optional fleet identity, healing,
-//!   flight-recorder and oblivious-audit sections;
+//!   process termination (§2.3), with optional fleet identity and the
+//!   healing, flight-recorder and oblivious sections the journal's views
+//!   render;
 //! * [`FleetService`] — the central collection service receiving those
 //!   documents from many processes: one shard with blocking
 //!   back-pressure ([`FleetConfig::central`]) for a plain central
@@ -37,9 +42,7 @@
 
 mod doc;
 mod fleet;
-mod flight;
 mod journal;
-mod oblivious;
 mod remedy;
 mod report;
 mod stats;
@@ -53,11 +56,9 @@ pub use fleet::{
     FleetService, FuncRollup, RejectedSample, ShedPolicy, SubmitOutcome, WindowFunc,
     WindowStats, REJECTED_SAMPLE_CAP, REJECTED_SNIPPET_LEN,
 };
-pub use flight::{FlightRecord, FlightRecorder, MAX_ARGS_LEN};
-pub use journal::{HealAction, HealEvent, HealingJournal};
-pub use oblivious::{
-    ManufacturedRead, ObliviousAudit, ObliviousSnapshot, ShadowWrite, TaintedUse,
-    OBLIVIOUS_LEDGER_CAP,
+pub use journal::{
+    Absorption, FlightRecord, HealAction, HealEvent, ManufacturedRead, ObliviousSnapshot,
+    ShadowWrite, TaintedUse, WrapperJournal, JOURNAL_CAP, MAX_ARGS_LEN,
 };
 pub use remedy::{
     Director, DirectorConfig, EscalationLevel, PolicyChange, RemedyAction, RemedyEvent,

@@ -7,8 +7,7 @@ use std::fmt::Write as _;
 
 use simproc::errno::{errno_name, strerror_text};
 
-use crate::flight::FlightRecord;
-use crate::journal::HealEvent;
+use crate::journal::{FlightRecord, HealEvent};
 use crate::stats::{LatencyHistogram, Snapshot};
 
 /// Renders the full profiling report for one run.
@@ -450,9 +449,10 @@ pub fn render_worker_report(library: &str, lines: &[WorkerLine]) -> String {
     out
 }
 
-/// Renders a fault report: the verdict that fired plus the flight
-/// recorder's last-N calls, oldest first — the call history an operator
-/// reads to see what led up to a `Fault`, `Deny` or heal.
+/// Renders a fault report: the verdict that fired plus the journal's
+/// call ring ([`crate::WrapperJournal::tail`]), oldest first — the call
+/// history an operator reads to see what led up to a `Fault`, `Deny` or
+/// heal.
 pub fn render_fault_report(app: &str, fault: &str, tail: &[FlightRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "HEALERS fault report for `{app}`");
@@ -656,10 +656,10 @@ mod tests {
 
     #[test]
     fn healing_journal_is_rendered() {
-        use crate::journal::{HealAction, HealEvent, HealingJournal};
+        use crate::journal::{HealAction, HealEvent, WrapperJournal};
         let stats = Stats::new();
         stats.record_call("strcpy", 100, None);
-        let journal = HealingJournal::new();
+        let journal = WrapperJournal::new();
         journal.record(HealEvent {
             func: "strcpy".into(),
             arg: Some(1),
@@ -667,6 +667,7 @@ mod tests {
             class: "unterminated-string".into(),
             action: HealAction::Repaired,
             detail: "NUL-terminated buffer at offset 15".into(),
+            absorbed: None,
         });
         let report =
             render_report_with_healing("editor", &stats.snapshot(), &journal.snapshot());

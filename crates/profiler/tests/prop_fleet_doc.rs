@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 
 use profiler::{
-    parse_fleet_document, render_document, DocSections, FleetMeta, FlightRecord,
-    HealAction, HealEvent, ManufacturedRead, ObliviousSnapshot, ShadowWrite, Stats,
-    TaintedUse,
+    parse_fleet_document, render_document, Absorption, DocSections, FleetMeta,
+    FlightRecord, HealAction, HealEvent, ManufacturedRead, ObliviousSnapshot, ShadowWrite,
+    Stats, TaintedUse,
 };
 use simproc::errno::{EINVAL, ENOENT};
 
@@ -44,6 +44,15 @@ fn heal_event(func: String, detail: String) -> HealEvent {
         class: "null-pointer".into(),
         action: HealAction::Repaired,
         detail,
+        absorbed: None,
+    }
+}
+
+fn absorbed(func: String, absorbed: Absorption) -> HealEvent {
+    HealEvent {
+        action: HealAction::Obliviated,
+        absorbed: Some(absorbed),
+        ..heal_event(func.clone(), func)
     }
 }
 
@@ -70,30 +79,31 @@ fn render(
     });
     let events: Vec<HealEvent> = heals.into_iter().map(|(f, d)| heal_event(f, d)).collect();
     let (reads, writes, uses) = audit;
+    let read = |func: String| {
+        let value = func.clone();
+        let read = ManufacturedRead {
+            class: "null-pointer".into(),
+            role: "cstr-scan".into(),
+            value,
+        };
+        absorbed(func, Absorption::Read(read))
+    };
+    let write = |func: String| {
+        let write = ShadowWrite {
+            arg: Some(0),
+            addr: 0x5000,
+            object_base: 0x5000,
+            object_extent: 8,
+            attempted: 20,
+            clipped: 12,
+        };
+        absorbed(func, Absorption::Write(write))
+    };
     let oblivious = ObliviousSnapshot {
-        reads: reads
+        absorbed: reads
             .into_iter()
-            .map(|func| ManufacturedRead {
-                func: func.clone(),
-                arg: None,
-                class: "null-pointer".into(),
-                role: "cstr-scan".into(),
-                value: func.clone(),
-                detail: func,
-            })
-            .collect(),
-        writes: writes
-            .into_iter()
-            .map(|func| ShadowWrite {
-                func: func.clone(),
-                arg: Some(0),
-                addr: 0x5000,
-                object_base: 0x5000,
-                object_extent: 8,
-                attempted: 20,
-                clipped: 12,
-                detail: func,
-            })
+            .map(read)
+            .chain(writes.into_iter().map(write))
             .collect(),
         uses: uses
             .into_iter()
@@ -112,6 +122,7 @@ fn render(
         &DocSections {
             meta: meta.as_ref(),
             healing: (!events.is_empty()).then_some(events.as_slice()),
+            healing_dropped: 0,
             flight: &tail,
             oblivious: Some(&oblivious),
         },
@@ -173,8 +184,8 @@ proptest! {
             .collect();
         prop_assert_eq!(got, expected, "{}", r.doc);
         prop_assert_eq!(parsed.heal_events, r.heals as u64);
-        prop_assert_eq!(parsed.oblivious_reads, r.oblivious.reads.len() as u64);
-        prop_assert_eq!(parsed.oblivious_writes, r.oblivious.writes.len() as u64);
+        prop_assert_eq!(parsed.oblivious_reads, r.oblivious.reads().count() as u64);
+        prop_assert_eq!(parsed.oblivious_writes, r.oblivious.writes().count() as u64);
         prop_assert_eq!(parsed.oblivious_uses, r.oblivious.uses.len() as u64);
     }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use guardian::{CanaryRegistry, GuardOracle};
 use parking_lot::Mutex;
-use profiler::{FleetCollector, FlightRecorder, HealingJournal, ObliviousAudit, Stats};
+use profiler::{FleetCollector, Stats, WrapperJournal};
 use simproc::HostFn;
 use typelattice::{RobustApi, SafePred, SubstitutionPlan};
 
@@ -97,16 +97,13 @@ pub struct WrapperLibrary {
     pub registry: Arc<CanaryRegistry>,
     /// Shared call log.
     pub log: CallLog,
-    /// Healing audit journal (populated by healing wrappers).
-    pub journal: Arc<HealingJournal>,
-    /// Oblivious-execution audit ledger — present only when the policy
-    /// engine can resolve to [`crate::Policy::Oblivious`] somewhere
-    /// (default, per-function/class rule, or live overrides), so plain
-    /// healing wrappers keep their compiled fast paths.
-    pub oblivious: Option<ObliviousAudit>,
-    /// Flight recorder ring shared by every wrapped function — present
-    /// only when [`WrapperConfig::flight_recorder`] asked for one.
-    pub recorder: Option<Arc<FlightRecorder>>,
+    /// The journal every wrapped function shares: the decisions healing
+    /// and substitute wrappers take (oblivious absorptions with what
+    /// they manufactured or suppressed), the downstream uses of
+    /// manufactured values, and — when
+    /// [`WrapperConfig::flight_recorder`] asks for one — the ring of the
+    /// last calls.
+    pub journal: Arc<WrapperJournal>,
     /// The `exit` hook shipping this wrapper's document, when one is
     /// installed (profiling and healing wrappers with a sink).
     exit_report: Option<Arc<ExitReportHook>>,
@@ -189,8 +186,8 @@ pub struct WrapperConfig {
     /// Keep a flight recorder of the last N calls through the wrapper
     /// (`Some(n)`). Off by default — it records on every call. Recording
     /// is compiled into the wrapper's epilogue, so compiled call plans
-    /// survive. The ring is shared library-wide and surfaces via
-    /// [`WrapperLibrary::recorder`] and the exit document.
+    /// survive. The ring is part of the library's journal and surfaces
+    /// via [`WrapperJournal::tail`] and the exit document.
     pub flight_recorder: Option<usize>,
     /// Functions whose static contract (analyzer `NullOk` facts) marks
     /// string inputs as NULL-tolerant: under [`crate::Policy::Oblivious`]
@@ -251,37 +248,26 @@ pub fn build_wrapper_with_impls(
     let stats = Arc::new(Stats::new());
     let registry = Arc::new(CanaryRegistry::new());
     let log: CallLog = Arc::new(Mutex::new(Vec::new()));
-    let journal = Arc::new(HealingJournal::new());
+    let journal =
+        Arc::new(WrapperJournal::new().with_ring(config.flight_recorder.unwrap_or(0)));
     let oracle = GuardOracle::new(Arc::clone(&registry));
     let engine = config.policy.clone().unwrap_or_else(PolicyEngine::healing);
-    let recorder = config.flight_recorder.map(|cap| Arc::new(FlightRecorder::new(cap)));
-    // The audit (and the dynamic pipeline it forces) is paid for only
-    // when some route through the engine can actually go oblivious.
-    let oblivious = (kind == WrapperKind::Healing && engine.may_go_oblivious())
-        .then(ObliviousAudit::new);
+    // Taint tracking (and the dynamic pipeline it forces) is paid for
+    // only when some route through the engine can actually go oblivious.
+    let taint = kind == WrapperKind::Healing && engine.may_go_oblivious();
     let contract_defaults: Arc<BTreeSet<String>> =
         Arc::new(config.oblivious_null_defaults.iter().cloned().collect());
-    // One exit document per process, shipped by one hook: the journal
-    // and oblivious audit ride along for healing wrappers, the flight
-    // tail for either kind when a recorder is configured.
+    // One exit document per process, shipped by one hook over the stats
+    // and the journal.
     let exit_report = match (kind, &config.fleet) {
         (WrapperKind::Profiling | WrapperKind::Healing, Some(sink)) => {
-            let mut report = ExitReportHook::new(
+            Some(Arc::new(ExitReportHook::new(
                 Arc::clone(&stats),
+                Arc::clone(&journal),
                 config.app_name.clone(),
-                kind.tag(),
+                kind,
                 sink.clone(),
-            );
-            if kind == WrapperKind::Healing {
-                report = report.with_journal(Arc::clone(&journal));
-                if let Some(audit) = &oblivious {
-                    report = report.with_oblivious(audit.clone());
-                }
-            }
-            if let Some(rec) = &recorder {
-                report = report.with_flight(Arc::clone(rec));
-            }
-            Some(Arc::new(report))
+            )))
         }
         _ => None,
     };
@@ -399,12 +385,7 @@ pub fn build_wrapper_with_impls(
             WrapperKind::Healing => {
                 // Statistics ride along so the exit document carries the
                 // call profile next to the healing journal.
-                let exectime = if config.latency_histograms {
-                    ExectimeHook::with_latency(Arc::clone(&stats))
-                } else {
-                    ExectimeHook::new(Arc::clone(&stats))
-                };
-                hooks.push(Arc::new(exectime));
+                hooks.push(Arc::new(ExectimeHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(CollectErrorsHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(FuncErrorsHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(CallCounterHook::new(Arc::clone(&stats))));
@@ -423,9 +404,9 @@ pub fn build_wrapper_with_impls(
                         engine.clone(),
                         Arc::clone(&journal),
                     );
-                    if let Some(audit) = &oblivious {
+                    if taint {
                         check = check
-                            .with_oblivious(audit.clone())
+                            .with_oblivious()
                             .with_contract_defaults(Arc::clone(&contract_defaults));
                     }
                     if config.latency_histograms {
@@ -438,12 +419,7 @@ pub fn build_wrapper_with_impls(
                 }
             }
             WrapperKind::Profiling => {
-                let exectime = if config.latency_histograms {
-                    ExectimeHook::with_latency(Arc::clone(&stats))
-                } else {
-                    ExectimeHook::new(Arc::clone(&stats))
-                };
-                hooks.push(Arc::new(exectime));
+                hooks.push(Arc::new(ExectimeHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(CollectErrorsHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(FuncErrorsHook::new(Arc::clone(&stats))));
                 hooks.push(Arc::new(CallCounterHook::new(Arc::clone(&stats))));
@@ -464,14 +440,9 @@ pub fn build_wrapper_with_impls(
         // Telemetry is compiled into the wrapper's epilogue rather than
         // riding as hooks: it records after every other hook settled the
         // verdict (the position a first-inserted recorder hook's `after`
-        // occupied) without forcing the dynamic pipeline. The `call`
-        // latency sample attaches only to kinds without an exectime
-        // hook — profiling/healing record it through
-        // `ExectimeHook::with_latency` already.
-        let latency = (config.latency_histograms
-            && matches!(kind, WrapperKind::Robustness | WrapperKind::Security))
-        .then(|| Arc::clone(&stats));
-        let flight = recorder.as_ref().map(Arc::clone);
+        // occupied) without forcing the dynamic pipeline.
+        let latency = config.latency_histograms.then(|| Arc::clone(&stats));
+        let flight = config.flight_recorder.map(|_| Arc::clone(&journal));
         fns.insert(
             name,
             WrappedFn::new_with_telemetry(f.proto.clone(), imp, hooks, latency, flight),
@@ -487,8 +458,6 @@ pub fn build_wrapper_with_impls(
         registry,
         log,
         journal,
-        oblivious,
-        recorder,
         exit_report,
         warnings,
     }
@@ -545,9 +514,7 @@ impl WrapperBuilder {
             stats: Arc::new(Stats::new()),
             registry: Arc::new(CanaryRegistry::new()),
             log: Arc::new(Mutex::new(Vec::new())),
-            journal: Arc::new(HealingJournal::new()),
-            oblivious: None,
-            recorder: None,
+            journal: Arc::new(WrapperJournal::new()),
             exit_report: None,
             warnings: Vec::new(),
         }
@@ -752,7 +719,6 @@ mod tests {
     fn flight_recorder_rides_every_wrapped_function() {
         let config = WrapperConfig { flight_recorder: Some(4), ..WrapperConfig::default() };
         let lib = build_wrapper(WrapperKind::Security, &tiny_api(), &config);
-        let recorder = lib.recorder.as_ref().expect("configured recorder");
         let mut p = libc_proc();
         let malloc = lib.get("malloc").unwrap();
         let strcpy = lib.get("strcpy").unwrap();
@@ -760,18 +726,20 @@ mod tests {
         let attack = p.alloc_cstr(&"X".repeat(64));
         let err = strcpy.call(&mut p, &[CVal::Ptr(buf), CVal::Ptr(attack)]).unwrap_err();
         assert!(matches!(err, Fault::SecurityViolation { .. }));
-        let tail = recorder.tail();
+        let tail = lib.journal.tail();
         assert_eq!(tail.len(), 2, "{tail:?}");
         assert_eq!(tail[0].func, "malloc");
         assert_eq!(tail[0].verdict, "ok");
         assert_eq!(tail[1].func, "strcpy");
         assert_eq!(tail[1].verdict, err.to_string());
 
-        // Off by default: no recorder, and compiled plans survive.
+        // Off by default: nothing recorded, and compiled plans survive.
         let plain =
             build_wrapper(WrapperKind::Robustness, &tiny_api(), &WrapperConfig::default());
-        assert!(plain.recorder.is_none());
         assert!(plain.get("strlen").unwrap().has_plan(), "fast path intact");
+        let s = p.alloc_cstr("xyz");
+        plain.get("strlen").unwrap().call(&mut p, &[CVal::Ptr(s)]).unwrap();
+        assert!(plain.journal.tail().is_empty());
         // Recording is compiled into the epilogue: the plan survives and
         // the ring still fills.
         let recorded = build_wrapper(WrapperKind::Robustness, &tiny_api(), &config);
@@ -782,7 +750,7 @@ mod tests {
         let mut p = libc_proc();
         let s = p.alloc_cstr("xyz");
         recorded.get("strlen").unwrap().call(&mut p, &[CVal::Ptr(s)]).unwrap();
-        let tail = recorded.recorder.as_ref().unwrap().tail();
+        let tail = recorded.journal.tail();
         assert_eq!(tail.len(), 1, "{tail:?}");
         assert_eq!(tail[0].func, "strlen");
         assert_eq!(tail[0].verdict, "ok");
@@ -810,6 +778,38 @@ mod tests {
         assert!(doc.contains("<latency stage=\"call\""), "{doc}");
         assert!(doc.contains("<flight-recorder entries="), "{doc}");
         assert!(doc.contains("function=\"strlen\""), "{doc}");
+    }
+
+    #[test]
+    fn latency_histograms_sample_every_wrapped_call_once() {
+        let config = WrapperConfig { latency_histograms: true, ..WrapperConfig::default() };
+        let samples = |lib: &WrapperLibrary, stage: &str| {
+            let snap = lib.stats.snapshot();
+            snap.per_func["strlen"].latency.get(stage).map_or(0, |h| h.count())
+        };
+        let mut p = libc_proc();
+        let s = p.alloc_cstr("hello");
+
+        let profiling = build_wrapper(WrapperKind::Profiling, &tiny_api(), &config);
+        let strlen = profiling.get("strlen").unwrap();
+        strlen.call(&mut p, &[CVal::Ptr(s)]).unwrap();
+        strlen.call(&mut p, &[CVal::Ptr(s)]).unwrap();
+        assert_eq!(samples(&profiling, "call"), 2);
+        assert_eq!(samples(&profiling, "check"), 0, "profiling checks nothing");
+
+        let healing = build_wrapper(WrapperKind::Healing, &tiny_api(), &config);
+        let strlen = healing.get("strlen").unwrap();
+        strlen.call(&mut p, &[CVal::Ptr(s)]).unwrap();
+        strlen.call(&mut p, &[CVal::NULL]).unwrap(); // heals NULL -> ""
+        assert_eq!(samples(&healing, "call"), 2);
+        assert_eq!(samples(&healing, "check"), 2);
+        assert_eq!(samples(&healing, "heal"), 1);
+
+        // Off by default.
+        let plain =
+            build_wrapper(WrapperKind::Profiling, &tiny_api(), &WrapperConfig::default());
+        plain.get("strlen").unwrap().call(&mut p, &[CVal::Ptr(s)]).unwrap();
+        assert!(!plain.stats.snapshot().has_latency());
     }
 
     #[test]

@@ -167,7 +167,7 @@ mod tests {
     use crate::policy::PolicyEngine;
     use cdecl::{parse_prototype, TypedefTable};
     use guardian::{CanaryRegistry, GuardOracle};
-    use profiler::{HealingJournal, Stats};
+    use profiler::{Stats, WrapperJournal};
     use typelattice::SafePred;
 
     fn proto(s: &str) -> Prototype {
@@ -185,7 +185,7 @@ mod tests {
 
     fn healing(p: &Prototype, preds: Vec<SafePred>) -> Arc<dyn Hook> {
         let oracle = GuardOracle::new(Arc::new(CanaryRegistry::new()));
-        let journal = Arc::new(HealingJournal::new());
+        let journal = Arc::new(WrapperJournal::new());
         let engine = PolicyEngine::healing();
         Arc::new(ArgCheckHook::with_journal(preds, p.ret.clone(), oracle, engine, journal))
     }

@@ -8,12 +8,13 @@ use cdecl::CType;
 use guardian::{CanaryRegistry, GuardOracle, CANARY_LEN};
 use parking_lot::Mutex;
 use profiler::{
-    render_document, DocSections, FleetCollector, FleetMeta, FlightRecorder, HealAction,
-    HealEvent, HealingJournal, ManufacturedRead, ObliviousAudit, Stats, TaintedUse,
+    render_document, Absorption, DocSections, FleetCollector, FleetMeta, HealAction,
+    HealEvent, ManufacturedRead, Stats, WrapperJournal,
 };
 use simproc::{errno, CVal, Fault, VirtAddr};
 use typelattice::SafePred;
 
+use crate::builders::WrapperKind;
 use crate::codegen::{CodegenCx, Fragment};
 use crate::oblivious::{oblivious_fault_value, oblivious_outcome, ObliviousCx};
 use crate::policy::{apply_repair, Policy, PolicyEngine, ViolationClass};
@@ -25,14 +26,14 @@ use crate::runtime::{
 /// `arg check` / `heal args`: evaluates the robust argument types derived
 /// by the fault injector before every call and responds to violations
 /// according to the wrapper's [`PolicyEngine`] — contain, terminate,
-/// repair in place, or skip the call obliviously. Healing actions are
-/// recorded in the attached [`HealingJournal`].
+/// repair in place, or skip the call obliviously. Every decision is
+/// recorded in the attached [`WrapperJournal`].
 pub struct ArgCheckHook {
     preds: Vec<SafePred>,
     ret: CType,
     oracle: GuardOracle,
     engine: PolicyEngine,
-    journal: Option<Arc<HealingJournal>>,
+    journal: Option<Arc<WrapperJournal>>,
     /// When set, the hook records `check` / `heal` stage latency
     /// histograms. Forces the dynamic pipeline — only wire it into
     /// wrappers that are dynamic anyway (healing), never robustness.
@@ -40,11 +41,11 @@ pub struct ArgCheckHook {
     /// Where the predicates came from (`"campaign"` unless overridden
     /// with [`ArgCheckHook::with_provenance`]).
     provenance: &'static str,
-    /// When set, every oblivious absorption (manufactured read,
-    /// suppressed write) and every downstream consumption of a tainted
-    /// manufactured value is ledgered here. Forces the dynamic pipeline:
-    /// taint tracking is a per-call side effect.
-    oblivious: Option<ObliviousAudit>,
+    /// When set, every call's pointer arguments are matched against the
+    /// values oblivious absorptions manufactured, and each match is
+    /// journaled as a tainted use. Forces the dynamic pipeline: taint
+    /// tracking is a per-call side effect.
+    taint: bool,
     /// Functions whose static contract marks violated string inputs as
     /// NULL-tolerant — the oblivious engine manufactures a real empty
     /// string for their pointer returns instead of NULL.
@@ -73,29 +74,29 @@ impl ArgCheckHook {
             journal: None,
             stats: None,
             provenance: "campaign",
-            oblivious: None,
+            taint: false,
             contract_defaults: Arc::default(),
         }
     }
 
-    /// Builds the hook with a healing audit journal attached.
+    /// Builds the hook with the wrapper journal attached.
     pub fn with_journal(
         preds: Vec<SafePred>,
         ret: CType,
         oracle: GuardOracle,
         engine: PolicyEngine,
-        journal: Arc<HealingJournal>,
+        journal: Arc<WrapperJournal>,
     ) -> Self {
         ArgCheckHook { journal: Some(journal), ..Self::new(preds, ret, oracle, engine) }
     }
 
-    /// Attaches the oblivious-execution audit: every manufactured read,
-    /// suppressed write and downstream tainted-value consumption is
-    /// ledgered. Keeps the hook on the dynamic pipeline (taint tracking
-    /// observes every call).
+    /// Switches taint tracking on: every call whose pointer argument is
+    /// a value an oblivious absorption manufactured is journaled as a
+    /// downstream use of it. Keeps the hook on the dynamic pipeline
+    /// (taint tracking observes every call).
     #[must_use]
-    pub fn with_oblivious(mut self, audit: ObliviousAudit) -> Self {
-        self.oblivious = Some(audit);
+    pub fn with_oblivious(mut self) -> Self {
+        self.taint = true;
         self
     }
 
@@ -139,14 +140,7 @@ impl ArgCheckHook {
         detail: impl Into<String>,
     ) {
         if let Some(j) = &self.journal {
-            j.record(HealEvent {
-                func: func.to_string(),
-                arg,
-                violation: pred.map(|p| p.to_string()).unwrap_or_default(),
-                class: class.map(|c| c.tag().to_string()).unwrap_or_default(),
-                action,
-                detail: detail.into(),
-            });
+            j.record(decision(func, arg, pred, class, action, detail.into()));
         }
     }
 
@@ -181,29 +175,15 @@ impl ArgCheckHook {
         Some(repaired)
     }
 
-    /// Propagation audit: any pointer argument equal to a value the
-    /// oblivious engine previously manufactured marks this call as a
-    /// downstream consumer of tainted data.
-    fn record_tainted_uses(&self, cx: &CallCx<'_>) {
-        if let Some(audit) = &self.oblivious {
-            for (i, v) in cx.args.iter().enumerate() {
-                if let CVal::Ptr(p) = v {
-                    if audit.is_tainted(p.get()) {
-                        audit.record_use(TaintedUse {
-                            func: cx.func.to_string(),
-                            arg: i,
-                            value: v.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     /// The full before-call validation loop; see [`Hook::before`] for
     /// why it re-checks from the top after every repair.
     fn check_and_heal(&self, cx: &mut CallCx<'_>) -> HookAction {
-        self.record_tainted_uses(cx);
+        // Propagation audit: a pointer argument equal to a value the
+        // oblivious engine manufactured marks this call as a downstream
+        // consumer of tainted data.
+        if let (true, Some(j)) = (self.taint, &self.journal) {
+            j.record_tainted_uses(cx.func, &cx.args);
+        }
         // Repairs can shift which predicate is violated (a substituted
         // destination makes the copy fit; a clamped count makes the
         // buffer large enough), so healing re-checks from the top after
@@ -269,30 +249,26 @@ impl ArgCheckHook {
                         };
                         let args = cx.args.clone();
                         let out = oblivious_outcome(&ocx, cx.proc, &self.oracle, &args);
-                        if let Some(audit) = &self.oblivious {
-                            match &out.write {
-                                Some(w) => audit.record_write(w.clone()),
-                                None => audit.record_read(
-                                    ManufacturedRead {
-                                        func: cx.func.to_string(),
-                                        arg: Some(i),
-                                        class: class.tag().to_string(),
-                                        role: out.role.to_string(),
-                                        value: out.ret.to_string(),
-                                        detail: out.detail.clone(),
-                                    },
-                                    out.taint,
-                                ),
-                            }
+                        if let Some(j) = &self.journal {
+                            let absorbed = match out.write {
+                                Some(w) => Absorption::Write(w),
+                                None => Absorption::Read(ManufacturedRead {
+                                    class: class.tag().to_string(),
+                                    role: out.role.to_string(),
+                                    value: out.ret.to_string(),
+                                }),
+                            };
+                            let event = decision(
+                                cx.func,
+                                Some(i),
+                                Some(pred),
+                                Some(class),
+                                HealAction::Obliviated,
+                                out.detail,
+                            );
+                            let event = HealEvent { absorbed: Some(absorbed), ..event };
+                            j.record_oblivious(event, out.taint);
                         }
-                        self.journal(
-                            cx.func,
-                            Some(i),
-                            Some(pred),
-                            Some(class),
-                            HealAction::Obliviated,
-                            out.detail,
-                        );
                         return HookAction::ShortCircuit(out.ret);
                     }
                     Policy::Heal | Policy::Retry { .. } => {
@@ -380,11 +356,11 @@ impl Hook for ArgCheckHook {
         // exactly `reject` whatever predicate fired; anything else
         // (healing, termination, per-class overrides, journaling) falls
         // back to the dynamic pipeline to replay policy faithfully.
-        // Stage-latency recording and the oblivious audit's taint
-        // propagation are per-call side effects `before` must perform on
+        // Stage-latency recording and taint tracking are per-call side
+        // effects `before` must perform on
         // every call, accept path included — they keep the whole
         // pipeline dynamic.
-        if self.stats.is_some() || self.oblivious.is_some() {
+        if self.stats.is_some() || self.taint {
             return None;
         }
         let on_fail = match self.engine.uniform() {
@@ -466,23 +442,22 @@ impl Hook for ArgCheckHook {
             Policy::Oblivious => {
                 // The check passed but the original still faulted (a
                 // check-evading violation): absorb it as a manufactured
-                // as-if-empty completion, errno untouched.
+                // as-if-empty completion, errno untouched. The decision
+                // has no violation class; the read carries the fault's tag.
                 let value = oblivious_fault_value(&self.ret);
-                let detail = format!("fault absorbed obliviously: {fault}");
-                if let Some(audit) = &self.oblivious {
-                    audit.record_read(
-                        ManufacturedRead {
-                            func: cx.func.to_string(),
-                            arg: None,
-                            class: fault.tag().to_string(),
-                            role: "fault-absorb".to_string(),
-                            value: value.to_string(),
-                            detail: detail.clone(),
-                        },
-                        None,
-                    );
+                if let Some(j) = &self.journal {
+                    let read = ManufacturedRead {
+                        class: fault.tag().to_string(),
+                        role: "fault-absorb".to_string(),
+                        value: value.to_string(),
+                    };
+                    let detail = format!("fault absorbed obliviously: {fault}");
+                    let event =
+                        decision(cx.func, None, None, None, HealAction::Obliviated, detail);
+                    let event =
+                        HealEvent { absorbed: Some(Absorption::Read(read)), ..event };
+                    j.record_oblivious(event, None);
                 }
-                self.journal(cx.func, None, None, None, HealAction::Obliviated, detail);
                 FaultDecision::Substitute(value)
             }
             Policy::Heal => {
@@ -528,6 +503,27 @@ impl Hook for ArgCheckHook {
                 FaultDecision::Substitute(containment_value(&self.ret))
             }
         }
+    }
+}
+
+/// One journal decision without an absorption payload. Fault-path
+/// decisions have no argument, predicate or class: those render empty.
+fn decision(
+    func: &str,
+    arg: Option<usize>,
+    pred: Option<&SafePred>,
+    class: Option<ViolationClass>,
+    action: HealAction,
+    detail: String,
+) -> HealEvent {
+    HealEvent {
+        func: func.to_string(),
+        arg,
+        violation: pred.map(|p| p.to_string()).unwrap_or_default(),
+        class: class.map(|c| c.tag().to_string()).unwrap_or_default(),
+        action,
+        detail,
+        absorbed: None,
     }
 }
 
@@ -790,19 +786,12 @@ impl Hook for CallCounterHook {
 #[derive(Debug)]
 pub struct ExectimeHook {
     stats: Arc<Stats>,
-    latency: bool,
 }
 
 impl ExectimeHook {
     /// Builds the hook over shared statistics.
     pub fn new(stats: Arc<Stats>) -> Self {
-        ExectimeHook { stats, latency: false }
-    }
-
-    /// Builds the hook so every measured call also feeds the `call`
-    /// stage log2 latency histogram of its function.
-    pub fn with_latency(stats: Arc<Stats>) -> Self {
-        ExectimeHook { stats, latency: true }
+        ExectimeHook { stats }
     }
 }
 
@@ -835,12 +824,7 @@ impl Hook for ExectimeHook {
 
     fn after(&self, cx: &mut CallCx<'_>, _result: &mut Result<CVal, Fault>) {
         let start = cx.scratch.pop().unwrap_or(cx.entry_cycles);
-        let end = cx.proc.cycles();
-        let delta = end.saturating_sub(start);
-        self.stats.record_cycles(cx.func, delta);
-        if self.latency {
-            self.stats.record_latency(cx.func, "call", delta);
-        }
+        self.stats.record_cycles(cx.func, cx.proc.cycles().saturating_sub(start));
     }
 }
 
@@ -979,22 +963,24 @@ impl Hook for LogCallHook {
     }
 }
 
-/// Flight recorder: appends every call — function, rendered arguments,
-/// final verdict, cycles spent — to a bounded ring shared by the whole
-/// wrapper library. Installed *first* in the pipeline so its `after`
-/// runs last and observes the final result, including faults raised and
+/// Flight recorder as a hook: appends every call — function, rendered
+/// arguments, final verdict, cycles spent — to the call ring of a
+/// journal. Installed *first* in the pipeline so its `after` runs last
+/// and observes the final result, including faults raised and
 /// substitutions made by every other hook. Per-call recording is a side
-/// effect, so the hook keeps its pipeline dynamic — it is opt-in via
-/// [`crate::WrapperConfig::flight_recorder`], never on by default.
+/// effect, so the hook keeps its pipeline dynamic; generated wrappers
+/// record the same entries from their compiled epilogue instead
+/// ([`crate::WrapperConfig::flight_recorder`]), and this hook is the
+/// reference that epilogue is tested against.
 #[derive(Debug)]
 pub struct FlightRecorderHook {
-    recorder: Arc<FlightRecorder>,
+    journal: Arc<WrapperJournal>,
 }
 
 impl FlightRecorderHook {
-    /// Builds the hook over a shared ring.
-    pub fn new(recorder: Arc<FlightRecorder>) -> Self {
-        FlightRecorderHook { recorder }
+    /// Builds the hook over a journal with a call ring.
+    pub fn new(journal: Arc<WrapperJournal>) -> Self {
+        FlightRecorderHook { journal }
     }
 }
 
@@ -1017,7 +1003,7 @@ impl Hook for FlightRecorderHook {
             Err(f) => f.to_string(),
         };
         let cycles = cx.proc.cycles().saturating_sub(cx.entry_cycles);
-        self.recorder.record(cx.func, &args, &verdict, cycles);
+        self.journal.record_call(cx.func, &args, &verdict, cycles);
     }
 }
 
@@ -1025,67 +1011,40 @@ impl Hook for FlightRecorderHook {
 /// the collection code is called to send the gathered information to a
 /// central server" (§2.3). Hooked onto `exit`, it submits exactly one
 /// document per `exit` to the collection service: the call statistics
-/// plus whichever of the healing journal, flight-recorder tail and
-/// oblivious audit the wrapper keeps, stamped with the process's fleet
-/// identity when it has one.
+/// plus the views of the wrapper's journal — its decisions for a
+/// healing wrapper, the call ring and the oblivious absorptions when
+/// there are any — stamped with the process's fleet identity when it
+/// has one.
 #[derive(Debug)]
 pub struct ExitReportHook {
     stats: Arc<Stats>,
+    journal: Arc<WrapperJournal>,
     app: String,
-    wrapper: &'static str,
+    kind: WrapperKind,
     sink: FleetCollector,
-    journal: Option<Arc<HealingJournal>>,
-    flight: Option<Arc<FlightRecorder>>,
-    oblivious: Option<ObliviousAudit>,
     /// The last document shipped, read back through
     /// [`crate::WrapperLibrary::shipped_document`].
     shipped: Mutex<Option<String>>,
 }
 
 impl ExitReportHook {
-    /// Builds the hook shipping the statistics in `stats` to `sink`.
+    /// Builds the hook shipping the statistics in `stats` and the views
+    /// of `journal` to `sink`, as a document of wrapper type `kind`.
     pub fn new(
         stats: Arc<Stats>,
+        journal: Arc<WrapperJournal>,
         app: impl Into<String>,
-        wrapper: &'static str,
+        kind: WrapperKind,
         sink: FleetCollector,
     ) -> Self {
         ExitReportHook {
             stats,
+            journal,
             app: app.into(),
-            wrapper,
+            kind,
             sink,
-            journal: None,
-            flight: None,
-            oblivious: None,
             shipped: Mutex::new(None),
         }
-    }
-
-    /// Attaches a healing audit journal: the shipped document carries the
-    /// `<healing>` event stream next to the call statistics.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Arc<HealingJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches a flight recorder: the shipped document then carries the
-    /// `<flight-recorder>` tail of last-N calls next to the statistics.
-    #[must_use]
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Attaches the oblivious-execution audit: when the audit is
-    /// non-empty at exit, the shipped document carries the `<oblivious>`
-    /// section (manufactured reads, suppressed writes, tainted-value
-    /// consumptions) next to the healing journal.
-    #[must_use]
-    pub fn with_oblivious(mut self, audit: ObliviousAudit) -> Self {
-        self.oblivious = Some(audit);
-        self
     }
 
     /// Renders the document as of now for a process with fleet identity
@@ -1100,18 +1059,21 @@ impl ExitReportHook {
             fault: None,
         });
         let snap = self.stats.snapshot();
-        let events = self.journal.as_ref().map(|j| j.snapshot());
-        let tail = self.flight.as_ref().map(|f| f.tail()).unwrap_or_default();
-        let oblivious = self.oblivious.as_ref().map(ObliviousAudit::snapshot);
+        // A healing wrapper discloses its decisions even when it took
+        // none; the other kinds take none to disclose.
+        let events = (self.kind == WrapperKind::Healing).then(|| self.journal.snapshot());
+        let tail = self.journal.tail();
+        let oblivious = self.journal.oblivious();
         render_document(
             &self.app,
-            self.wrapper,
+            self.kind.tag(),
             &snap,
             &DocSections {
                 meta: meta.as_ref(),
                 healing: events.as_deref(),
+                healing_dropped: self.journal.dropped(),
                 flight: &tail,
-                oblivious: oblivious.as_ref(),
+                oblivious: Some(&oblivious),
             },
         )
     }
@@ -1204,7 +1166,7 @@ mod tests {
     #[test]
     fn heal_policy_repairs_an_oversized_strcpy() {
         let p = proto("char *strcpy(char *dest, const char *src);");
-        let journal = Arc::new(HealingJournal::new());
+        let journal = Arc::new(WrapperJournal::new());
         let o = oracle();
         let hook = ArgCheckHook::with_journal(
             vec![SafePred::HoldsCStrOf { src: 1 }, SafePred::CStr],
@@ -1238,7 +1200,7 @@ mod tests {
     #[test]
     fn heal_policy_substitutes_for_a_null_strlen() {
         let p = proto("size_t strlen(const char *s);");
-        let journal = Arc::new(HealingJournal::new());
+        let journal = Arc::new(WrapperJournal::new());
         let hook = ArgCheckHook::with_journal(
             vec![SafePred::CStr],
             p.ret.clone(),
@@ -1284,23 +1246,30 @@ mod tests {
     }
 
     #[test]
-    fn oblivious_audit_ledgers_reads_writes_and_tainted_uses() {
-        let audit = ObliviousAudit::new();
+    fn oblivious_journal_records_reads_writes_and_tainted_uses() {
+        let journal = Arc::new(WrapperJournal::new());
         let defaults: Arc<BTreeSet<String>> =
             Arc::new(["strstr".to_string()].into_iter().collect());
         let engine = PolicyEngine::new(crate::policy::Policy::Oblivious);
         let o = oracle();
         let mk = |sig: &str, name: &str, preds: Vec<SafePred>| {
             let p = proto(sig);
-            let hook = ArgCheckHook::new(preds, p.ret.clone(), o.clone(), engine.clone())
-                .with_oblivious(audit.clone())
-                .with_contract_defaults(Arc::clone(&defaults));
+            let j = Arc::clone(&journal);
+            let hook = ArgCheckHook::with_journal(
+                preds,
+                p.ret.clone(),
+                o.clone(),
+                engine.clone(),
+                j,
+            )
+            .with_oblivious()
+            .with_contract_defaults(Arc::clone(&defaults));
             let f = WrappedFn::new(
                 p,
                 simlibc::find_symbol(name).unwrap().imp,
                 vec![Arc::new(hook)],
             );
-            assert!(!f.has_plan(), "the audit must force the dynamic pipeline");
+            assert!(!f.has_plan(), "taint tracking must force the dynamic pipeline");
             f
         };
         let strcpy = mk(
@@ -1323,6 +1292,9 @@ mod tests {
         let r = strcpy.call(&mut proc, &[CVal::Ptr(dest), CVal::Ptr(big)]).unwrap();
         assert_eq!(r, CVal::Ptr(dest), "reports success");
         assert_eq!(proc.read_cstr_lossy(dest), "", "nothing was written");
+        // One absorbed call, one decision: the write rides on it.
+        assert_eq!(journal.len(), 1);
+        assert_eq!(journal.oblivious().absorbed, journal.snapshot());
 
         // A contract-derived manufactured pointer, then a downstream
         // consumer of it: the taint propagates into the audit.
@@ -1333,26 +1305,28 @@ mod tests {
         let n = strlen.call(&mut proc, &[CVal::Ptr(fabricated)]).unwrap();
         assert_eq!(n, CVal::Int(0), "the manufactured empty string scans clean");
 
-        let snap = audit.snapshot();
-        assert_eq!(snap.writes.len(), 1, "{snap:?}");
-        assert_eq!(snap.writes[0].func, "strcpy");
-        assert_eq!(snap.writes[0].attempted, 61);
-        assert!(snap.writes[0].clipped > 0);
+        let snap = journal.oblivious();
+        let writes: Vec<_> = snap.writes().collect();
+        assert_eq!(writes.len(), 1, "{snap:?}");
+        assert_eq!(writes[0].0.func, "strcpy");
+        assert_eq!(writes[0].1.attempted, 61);
+        assert!(writes[0].1.clipped > 0);
         assert!(
-            snap.reads.iter().any(|r| r.func == "strstr" && r.role == "contract-default"),
+            snap.reads().any(|(e, r)| e.func == "strstr" && r.role == "contract-default"),
             "{snap:?}"
         );
         assert!(
             snap.uses.iter().any(|u| u.func == "strlen" && u.arg == 0),
-            "downstream consumption must be audited: {snap:?}"
+            "downstream consumption must be journaled: {snap:?}"
         );
         assert_eq!(snap.dropped, 0);
+        assert_eq!(journal.len(), 2, "two absorptions; the tainted use is no decision");
     }
 
     #[test]
     fn unfixable_violation_falls_back_to_containment() {
         let p = proto("int fclose(FILE *stream);");
-        let journal = Arc::new(HealingJournal::new());
+        let journal = Arc::new(WrapperJournal::new());
         let hook = ArgCheckHook::with_journal(
             vec![SafePred::ValidFilePtr],
             p.ret.clone(),
@@ -1499,7 +1473,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_captures_calls_and_verdicts() {
-        let recorder = Arc::new(FlightRecorder::new(3));
+        let journal = Arc::new(WrapperJournal::new().with_ring(3));
         let p = proto("size_t strlen(const char *s);");
         let check = ArgCheckHook::new(
             vec![SafePred::CStr],
@@ -1510,47 +1484,19 @@ mod tests {
         // Recorder first: its `after` runs last and sees the verdict of
         // every downstream hook, deny included.
         let hooks: Vec<Arc<dyn Hook>> =
-            vec![Arc::new(FlightRecorderHook::new(Arc::clone(&recorder))), Arc::new(check)];
+            vec![Arc::new(FlightRecorderHook::new(Arc::clone(&journal))), Arc::new(check)];
         let f = WrappedFn::new(p, simlibc::find_symbol("strlen").unwrap().imp, hooks);
         let mut proc = libc_proc();
         let s = proc.alloc_cstr("hi");
         assert_eq!(f.call(&mut proc, &[CVal::Ptr(s)]).unwrap(), CVal::Int(2));
         let err = f.call(&mut proc, &[CVal::NULL]).unwrap_err();
         assert!(matches!(err, Fault::SecurityViolation { .. }));
-        let tail = recorder.tail();
+        let tail = journal.tail();
         assert_eq!(tail.len(), 2, "{tail:?}");
         assert_eq!(tail[0].func, "strlen");
         assert_eq!(tail[0].verdict, "ok");
         assert_eq!(tail[1].verdict, err.to_string());
         assert!(tail[1].args.contains("NULL") || tail[1].args.contains("0x0"), "{tail:?}");
-    }
-
-    #[test]
-    fn exectime_with_latency_fills_histogram() {
-        let stats = Arc::new(Stats::new());
-        let p = proto("size_t strlen(const char *s);");
-        let f = WrappedFn::new(
-            p,
-            simlibc::find_symbol("strlen").unwrap().imp,
-            vec![Arc::new(ExectimeHook::with_latency(Arc::clone(&stats)))],
-        );
-        let mut proc = libc_proc();
-        let s = proc.alloc_cstr("hello");
-        f.call(&mut proc, &[CVal::Ptr(s)]).unwrap();
-        f.call(&mut proc, &[CVal::Ptr(s)]).unwrap();
-        let snap = stats.snapshot();
-        assert!(snap.has_latency());
-        assert_eq!(snap.per_func["strlen"].latency["call"].count(), 2, "{snap:?}");
-        // The plain constructor records no histograms.
-        let bare = Arc::new(Stats::new());
-        let p = proto("size_t strlen(const char *s);");
-        let f = WrappedFn::new(
-            p,
-            simlibc::find_symbol("strlen").unwrap().imp,
-            vec![Arc::new(ExectimeHook::new(Arc::clone(&bare)))],
-        );
-        f.call(&mut proc, &[CVal::Ptr(s)]).unwrap();
-        assert!(!bare.snapshot().has_latency());
     }
 
     #[test]
@@ -1562,7 +1508,7 @@ mod tests {
             p.ret.clone(),
             oracle(),
             PolicyEngine::healing(),
-            Arc::new(HealingJournal::new()),
+            Arc::new(WrapperJournal::new()),
         )
         .with_stats(Arc::clone(&stats));
         let f = WrappedFn::new(
@@ -1588,8 +1534,9 @@ mod tests {
         let p = proto("void exit(int status);");
         let hook = Arc::new(ExitReportHook::new(
             Arc::clone(&stats),
+            Arc::new(WrapperJournal::new()),
             "demo-app",
-            "profiling",
+            WrapperKind::Profiling,
             service.collector(),
         ));
         let hooks: Vec<Arc<dyn Hook>> = vec![hook.clone()];
@@ -1610,7 +1557,14 @@ mod tests {
     fn exit_report_stamps_fleet_identity_when_present() {
         let service = profiler::FleetService::start(profiler::FleetConfig::central());
         let stats = Arc::new(Stats::new());
-        let hook = ExitReportHook::new(stats, "fleet-app", "healing", service.collector());
+        let journal = Arc::new(WrapperJournal::new());
+        let hook = ExitReportHook::new(
+            stats,
+            journal,
+            "fleet-app",
+            WrapperKind::Healing,
+            service.collector(),
+        );
         let f = WrappedFn::new(
             proto("void exit(int status);"),
             simlibc::find_symbol("exit").unwrap().imp,

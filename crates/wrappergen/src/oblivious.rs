@@ -15,13 +15,13 @@
 //!   frees through bad chunks) suppress the call and report success,
 //!   while the write that did *not* happen is measured and attributed to
 //!   the precise object it would have corrupted via
-//!   [`GuardOracle::object_region`] — the shadow-write ledger entry;
+//!   [`GuardOracle::object_region`] — the journaled shadow write;
 //! * anything else falls back to the classic containment value, with
 //!   `errno` left untouched (obliviousness never reports an error).
 //!
 //! Every decision is described by an [`ObliviousOutcome`] so the hook
-//! layer can journal it and feed the [`profiler::ObliviousAudit`]
-//! ledgers — nothing this engine does is silent.
+//! layer can journal it, with what it manufactured or suppressed, in
+//! the [`profiler::WrapperJournal`] — nothing this engine does is silent.
 
 use std::collections::BTreeSet;
 
@@ -55,7 +55,7 @@ pub struct ObliviousCx<'a> {
 }
 
 /// The engine's decision for one violation: what to return, how to tag
-/// it, and what (if anything) goes into the shadow-write ledger.
+/// it, and what (if anything) the journal records as a suppressed write.
 #[derive(Debug)]
 pub struct ObliviousOutcome {
     /// The value the wrapper returns instead of calling the original.
@@ -202,16 +202,14 @@ pub fn oblivious_outcome(
         return ObliviousOutcome {
             ret,
             role: "oob-write",
-            detail: detail.clone(),
+            detail,
             write: Some(ShadowWrite {
-                func: cx.func.to_string(),
                 arg: Some(dest_idx),
                 addr,
                 object_base: base,
                 object_extent: extent,
                 attempted,
                 clipped,
-                detail,
             }),
             taint: None,
         };

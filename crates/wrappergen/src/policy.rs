@@ -46,8 +46,8 @@ pub enum Policy {
     /// Failure-oblivious availability mode (Rigger et al., context-aware
     /// variant): violating *reads* are answered with a value manufactured
     /// per (function, argument role, violation class); violating *writes*
-    /// are suppressed and recorded in the shadow-write ledger. `errno`
-    /// stays untouched and every absorption is journaled and audited.
+    /// are suppressed and the suppressed write is recorded. `errno`
+    /// stays untouched and every absorption is journaled.
     Oblivious,
 }
 
@@ -279,7 +279,7 @@ impl PolicyEngine {
     /// [`Policy::Oblivious`]: the default is Oblivious, some static rule
     /// maps to it, or a runtime override table is attached (the director
     /// may set Oblivious at any moment). Builders use this to decide
-    /// whether a wrapper needs the oblivious audit ledger at all.
+    /// whether a wrapper needs taint tracking at all.
     pub fn may_go_oblivious(&self) -> bool {
         self.overrides.is_some()
             || self.default == Policy::Oblivious

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use cdecl::{CType, Prototype};
 use parking_lot::Mutex;
-use profiler::{FlightRecorder, Stats};
+use profiler::{Stats, WrapperJournal};
 use simproc::{errno, CVal, ExtentOracle, Fault, HostFn, Proc};
 use typelattice::{classify, peek_cstr_len, trunc_int, ArgClass, SafePred};
 
@@ -476,8 +476,8 @@ struct CallPlan {
 struct Telemetry {
     /// Per-function "call" latency histogram sink.
     latency: Option<Arc<Stats>>,
-    /// Recent-calls ring buffer sink.
-    flight: Option<Arc<FlightRecorder>>,
+    /// Journal whose call ring records every call.
+    flight: Option<Arc<WrapperJournal>>,
 }
 
 struct WrappedInner {
@@ -517,14 +517,14 @@ impl WrappedFn {
 
     /// Like [`WrappedFn::new`], with telemetry sinks compiled into the
     /// call epilogue: the per-function `"call"` latency histogram and the
-    /// flight recorder record on *every* path (fast or dynamic), exactly
+    /// journal's call ring record on *every* path (fast or dynamic), exactly
     /// once per call, without forcing dynamic dispatch.
     pub fn new_with_telemetry(
         proto: Prototype,
         original: HostFn,
         hooks: Vec<Arc<dyn Hook>>,
         latency: Option<Arc<Stats>>,
-        flight: Option<Arc<FlightRecorder>>,
+        flight: Option<Arc<WrapperJournal>>,
     ) -> Self {
         let int_widths: Vec<Option<u64>> = proto
             .params
@@ -826,9 +826,9 @@ impl WrappedFn {
         if let Some(stats) = &t.latency {
             stats.record_latency(&self.inner.name, "call", cycles);
         }
-        if let Some(recorder) = &t.flight {
+        if let Some(journal) = &t.flight {
             // Render into a recycled thread-local buffer: the epilogue
-            // itself stays allocation-free (the recorder's ring buffer
+            // itself stays allocation-free (the journal's call ring
             // copies out of it under its lock).
             ARGS_BUF.with(|b| {
                 let mut s = b.borrow_mut();
@@ -842,8 +842,10 @@ impl WrappedFn {
                 }
                 s.push(')');
                 match result {
-                    Ok(_) => recorder.record(&self.inner.name, &s, "ok", cycles),
-                    Err(f) => recorder.record(&self.inner.name, &s, &f.to_string(), cycles),
+                    Ok(_) => journal.record_call(&self.inner.name, &s, "ok", cycles),
+                    Err(f) => {
+                        journal.record_call(&self.inner.name, &s, &f.to_string(), cycles)
+                    }
                 }
             });
         }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cdecl::CType;
 use guardian::GuardOracle;
-use profiler::{HealAction, HealEvent, HealingJournal};
+use profiler::{HealAction, HealEvent, WrapperJournal};
 use simproc::{CVal, ExtentOracle, VirtAddr};
 use typelattice::{peek_cstr_len, SafePred, SubstFamily, SubstitutionPlan};
 
@@ -34,7 +34,7 @@ use crate::runtime::{reject, CallCx, Hook, HookAction, HookOp};
 pub struct SubstituteHook {
     plan: SubstitutionPlan,
     oracle: GuardOracle,
-    journal: Arc<HealingJournal>,
+    journal: Arc<WrapperJournal>,
     ret: CType,
 }
 
@@ -43,7 +43,7 @@ impl SubstituteHook {
     pub fn new(
         plan: SubstitutionPlan,
         oracle: GuardOracle,
-        journal: Arc<HealingJournal>,
+        journal: Arc<WrapperJournal>,
         ret: CType,
     ) -> Self {
         SubstituteHook { plan, oracle, journal, ret }
@@ -62,6 +62,7 @@ impl SubstituteHook {
             class: "overflow".into(),
             action: HealAction::Prevented,
             detail,
+            absorbed: None,
         });
     }
 
@@ -73,6 +74,7 @@ impl SubstituteHook {
             class: "overflow".into(),
             action: HealAction::Contained,
             detail: detail.into(),
+            absorbed: None,
         });
     }
 
@@ -277,8 +279,8 @@ mod tests {
         }
     }
 
-    fn hook(family: SubstFamily) -> (SubstituteHook, Arc<HealingJournal>) {
-        let journal = Arc::new(HealingJournal::new());
+    fn hook(family: SubstFamily) -> (SubstituteHook, Arc<WrapperJournal>) {
+        let journal = Arc::new(WrapperJournal::new());
         let oracle = GuardOracle::new(Arc::new(CanaryRegistry::new()));
         let ret = simlibc::prototypes()
             .into_iter()

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use cdecl::{parse_prototype, TypedefTable};
 use guardian::{CanaryRegistry, GuardOracle};
-use profiler::{render_document, DocSections, FlightRecorder, Stats};
+use profiler::{render_document, DocSections, Stats, WrapperJournal};
 use simproc::{CVal, Fault, Proc};
 use typelattice::SafePred;
 use wrappergen::hooks::{ArgCheckHook, FlightRecorderHook};
@@ -35,7 +35,7 @@ struct Instrumented {
     strlen: WrappedFn,
     exit: WrappedFn,
     stats: Arc<Stats>,
-    flight: Arc<FlightRecorder>,
+    flight: Arc<WrapperJournal>,
 }
 
 /// The compiled variant: plain check pipeline, telemetry in the
@@ -43,7 +43,7 @@ struct Instrumented {
 fn compiled() -> Instrumented {
     let t = TypedefTable::with_builtins();
     let stats = Arc::new(Stats::new());
-    let flight = Arc::new(FlightRecorder::new(16));
+    let flight = Arc::new(WrapperJournal::new().with_ring(16));
     let oracle = GuardOracle::new(Arc::new(CanaryRegistry::new()));
     let strlen_proto = parse_prototype("size_t strlen(const char *s);", &t).unwrap();
     let strlen = WrappedFn::new_with_telemetry(
@@ -75,7 +75,7 @@ fn compiled() -> Instrumented {
 fn dynamic_reference() -> Instrumented {
     let t = TypedefTable::with_builtins();
     let stats = Arc::new(Stats::new());
-    let flight = Arc::new(FlightRecorder::new(16));
+    let flight = Arc::new(WrapperJournal::new().with_ring(16));
     let oracle = GuardOracle::new(Arc::new(CanaryRegistry::new()));
     let strlen_proto = parse_prototype("size_t strlen(const char *s);", &t).unwrap();
     let strlen = WrappedFn::new(

@@ -65,18 +65,13 @@ fn policy_ablation() -> (String, Vec<AblationLine>) {
     let heal = healing(PolicyEngine::healing());
     let oblivious = healing(PolicyEngine::new(Policy::Oblivious));
 
-    // The oblivious audit probe: every ledger entry (manufactured read,
-    // suppressed write, tainted use, capped overflow) plus every healing
-    // journal record counts as an audit trace.
-    let audit = oblivious.oblivious.clone().expect("oblivious wrapper carries an audit");
+    // The oblivious audit probe: every journal record (decision or
+    // tainted use) and every one the cap counted instead of keeping is
+    // an audit trace.
     let journal = oblivious.journal.clone();
     let mut probe = move || {
-        let s = audit.snapshot();
-        journal.len() as u64
-            + s.reads.len() as u64
-            + s.writes.len() as u64
-            + s.uses.len() as u64
-            + s.dropped
+        let s = journal.oblivious();
+        journal.len() as u64 + journal.dropped() + s.uses.len() as u64 + s.dropped
     };
 
     let mut term_front = front(&terminate, &targets);

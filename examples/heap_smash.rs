@@ -186,10 +186,9 @@ fn main() {
     assert!(!protected.shell_spawned, "no shell for the attacker");
 
     let fault = protected.status.as_ref().unwrap_err().to_string();
-    let recorder = wrapper.recorder.as_ref().expect("flight recorder enabled");
     println!(
         "{}",
-        healers::profiler::render_fault_report("netd", &fault, &recorder.tail())
+        healers::profiler::render_fault_report("netd", &fault, &wrapper.journal.tail())
     );
     println!("*** attack detected, process terminated before the hijack ***");
 }

@@ -57,7 +57,7 @@ pub use injector::{
     CrossThreadFault, Outcome,
 };
 pub use interpose::{Executable, Loader, RunOutcome, Session, System};
-pub use profiler::{HealAction, HealEvent, HealingJournal};
+pub use profiler::{HealAction, HealEvent, WrapperJournal};
 pub use typelattice::{repair_hint, Confidence, RepairHint, RobustApi, SafePred};
 pub use wrappergen::{
     LowConfidence, Policy, PolicyEngine, ViolationClass, WrapperConfig, WrapperKind,

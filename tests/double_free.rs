@@ -92,8 +92,8 @@ fn robustness_wrapper_rejects_the_second_free() {
 /// The oblivious soundness contract: under `Policy::Oblivious` the
 /// double free is absorbed — the process keeps running and the
 /// allocator stays intact — but **never silently**. The skipped free is
-/// a suppressed write on the audit ledger, attributed to the function,
-/// and journaled as `Obliviated`.
+/// journaled as one `Obliviated` decision carrying the suppressed write,
+/// attributed to the function.
 #[test]
 fn oblivious_wrapper_absorbs_the_double_free_on_the_audit_record() {
     let targets: Vec<_> = targets_from_simlibc()
@@ -120,11 +120,11 @@ fn oblivious_wrapper_absorbs_the_double_free_on_the_audit_record() {
     // malloc never hands out one chunk twice (exit code 99).
     assert_eq!(out.status, Ok(0), "{:?}", out.status);
 
-    let snap = oblivious.oblivious.as_ref().expect("audit attached").snapshot();
+    let snap = oblivious.journal.oblivious();
     assert_eq!(snap.dropped, 0, "{snap:?}");
     assert!(
-        snap.writes.iter().any(|w| w.func == "free"),
-        "the skipped free must be a suppressed write on the ledger: {snap:?}"
+        snap.writes().any(|(e, _)| e.func == "free"),
+        "the skipped free must be a suppressed write on the record: {snap:?}"
     );
     let events = oblivious.journal.snapshot();
     let obliviated: Vec<_> =
@@ -133,11 +133,10 @@ fn oblivious_wrapper_absorbs_the_double_free_on_the_audit_record() {
         obliviated.iter().any(|e| e.func == "free"),
         "the absorption must be journaled, never silent: {events:?}"
     );
-    assert!(
-        obliviated.len() >= snap.reads.len() + snap.writes.len(),
-        "every ledger entry has a journal record: {} events, {} entries",
+    assert_eq!(
         obliviated.len(),
-        snap.reads.len() + snap.writes.len()
+        snap.reads().count() + snap.writes().count(),
+        "every absorption is one journal record: {events:?}"
     );
 }
 

@@ -128,8 +128,7 @@ fn fault_report_carries_the_flight_recorder_tail() {
     let out = toolkit.run_protected(&exe, &[&wrapper]).unwrap();
     assert!(matches!(out.status, Err(Fault::SecurityViolation { .. })), "{:?}", out.status);
 
-    let recorder = wrapper.recorder.as_ref().expect("flight recorder was enabled");
-    let tail = recorder.tail();
+    let tail = wrapper.journal.tail();
     assert!(!tail.is_empty(), "the recorder must have seen the calls");
     // The canary check in `free` detects the smash; the `strcpy` that
     // did the damage sits right before it in the tail — the smoking gun
