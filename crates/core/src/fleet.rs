@@ -14,7 +14,7 @@ use profiler::{
     Director, DirectorConfig, EscalationLevel, FleetAccounting, FleetCollector,
     FleetConfig, FleetMeta, FleetRollup, FleetService, PolicyChange, RemedyEvent,
 };
-use simproc::{CVal, Fault};
+use simproc::{splitmix64, CVal, Fault};
 use typelattice::{RobustApi, RobustFunction, SafePred};
 use wrappergen::{
     build_wrapper, Policy, PolicyEngine, PolicyOverrides, WrapperConfig, WrapperKind,
@@ -189,16 +189,6 @@ fn fleet_api() -> RobustApi {
     RobustApi { library: "libsimc.so.1".into(), functions: vec![strcpy, strlen, exit_fn] }
 }
 
-/// splitmix64 — a tiny deterministic per-instance RNG seeded from the
-/// fleet identity triple.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The simulated application every fleet instance runs. Behaviour is a
 /// pure function of the process's fleet identity `(instance, window,
 /// seed)`: steady-state string work for everyone; from [`BURST_WINDOW`]
@@ -220,7 +210,8 @@ fn mix(mut x: u64) -> u64 {
 /// the residual shape-B crash rate keeps the function anomalous.
 fn fleet_entry(s: &mut Session<'_>) -> Result<i32, Fault> {
     let (instance, window, seed) = s.proc().fleet_identity().unwrap_or((0, 0, 0));
-    let roll = mix(seed ^ instance.wrapping_mul(0xA24B_AED4_963E_E407) ^ window) % 1000;
+    let roll =
+        splitmix64(seed ^ instance.wrapping_mul(0xA24B_AED4_963E_E407) ^ window) % 1000;
 
     let src = s.literal("fleet steady-state");
     let dst = s.static_buf(64);

@@ -39,7 +39,7 @@ use cdecl::{parse_prototype, TypedefTable};
 use injector::{classify, Outcome};
 use interpose::{Executable, Loader, Session, System};
 use profiler::to_xml;
-use simproc::{CVal, Fault, ThreadId, VirtAddr};
+use simproc::{splitmix64, CVal, Fault, ThreadId, VirtAddr};
 use typelattice::{RobustApi, RobustFunction, SafePred};
 use wrappergen::{build_wrapper, WrapperConfig, WrapperKind, WrapperLibrary};
 
@@ -107,15 +107,6 @@ pub struct ServerReport {
     /// Worker-count-invariant telemetry XML from the wrapper's stats
     /// (`None` when running unprotected).
     pub telemetry_xml: Option<String>,
-}
-
-/// splitmix64 — the load generator's deterministic stream.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The robust API the server's security wrapper is generated from —
@@ -191,12 +182,12 @@ enum Request {
 const STORE_CAP: u64 = 40;
 
 fn generate(seed: u64, r: u64, adversarial: bool) -> Request {
-    let roll = mix(seed ^ r.wrapping_mul(0x9E37_79B9));
-    let slot = (mix(roll) % SESSION_SLOTS as u64) as usize;
-    let len = 1 + mix(roll ^ 0xBEEF) % (STORE_CAP - 8);
+    let roll = splitmix64(seed ^ r.wrapping_mul(0x9E37_79B9));
+    let slot = (splitmix64(roll) % SESSION_SLOTS as u64) as usize;
+    let len = 1 + splitmix64(roll ^ 0xBEEF) % (STORE_CAP - 8);
     match roll % 100 {
         0..=34 => Request::Echo { len },
-        35..=54 => Request::Parse { value: mix(roll ^ 0xCAFE) % 1_000_000 },
+        35..=54 => Request::Parse { value: splitmix64(roll ^ 0xCAFE) % 1_000_000 },
         55..=64 => Request::Count { len },
         65..=69 => Request::Probe,
         70..=84 => Request::Store { slot, len },

@@ -5,7 +5,9 @@ use std::path::Path;
 
 use analyzer::ContractBase;
 use cdecl::xml::write_declaration_file;
-use injector::{run_campaign, CampaignConfig, CampaignResult, CheckpointJournal, TargetFn};
+use injector::{
+    run_campaign, CampaignConfig, CampaignResult, CampaignRun, CheckpointJournal, TargetFn,
+};
 use interpose::{AppInfo, Executable, Loader, RunOutcome, SharedLibrary, System};
 use simproc::Proc;
 use typelattice::{RobustApi, SubstitutionPlan};
@@ -156,12 +158,13 @@ impl Toolkit {
         let protos: Vec<_> = targets.iter().map(|t| t.proto.clone()).collect();
         let base = analyzer::infer_contracts(soname, &protos, &simlibc::man_page);
         let hints = analyzer::ladder_hints(&base, &protos);
-        let result = injector::run_campaign_with_hints(
+        let run = CampaignRun { hints: Some(&hints), ..CampaignRun::default() };
+        let result = injector::run_campaign_with(
             soname,
             &targets,
             process_factory,
             &self.config,
-            &hints,
+            &run,
         );
         Some((result, base))
     }
@@ -196,12 +199,13 @@ impl Toolkit {
         } else {
             CheckpointJournal::new()
         };
-        let result = injector::run_campaign_checkpointed(
+        let run = CampaignRun { journal: Some(&journal), ..CampaignRun::default() };
+        let result = injector::run_campaign_with(
             soname,
             &targets,
             process_factory,
             &self.config,
-            &journal,
+            &run,
         );
         journal.save(journal_path)?;
         Ok(Some(result))
@@ -229,18 +233,10 @@ impl Toolkit {
     ) -> Result<(String, Vec<TargetFn>), cdecl::xml::XmlError> {
         let table = cdecl::TypedefTable::with_builtins();
         let (library, protos) = cdecl::xml::parse_declaration_file(doc, &table)?;
-        let lookup = |name: &str| {
-            simlibc::find_symbol(name).map(|s| s.imp).or_else(|| {
-                simlibc::math::math_symbols()
-                    .into_iter()
-                    .find(|s| s.name == name)
-                    .map(|s| s.imp)
-            })
-        };
         let targets = protos
             .into_iter()
             .filter_map(|proto| {
-                lookup(&proto.name).map(|imp| TargetFn {
+                simlibc::find_impl(&proto.name).map(|imp| TargetFn {
                     name: proto.name.clone(),
                     proto,
                     imp,

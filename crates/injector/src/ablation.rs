@@ -14,19 +14,18 @@
 //! produce.
 //!
 //! Everything is deterministic in the campaign seed: cases replay
-//! serially, per-case seeds come from [`case_seed`], and rows land in a
-//! `BTreeMap`, so two same-seed runs return byte-identical rows.
+//! serially through [`replay_case`], per-case seeds come from
+//! [`case_seed`](crate::case_seed), and rows land in a `BTreeMap`, so
+//! two same-seed runs return byte-identical rows.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use profiler::AblationLine;
-use simproc::Proc;
-use typelattice::{plan, ParamPlan};
 
 use crate::outcome::Outcome;
-use crate::sandbox::{case_seed, run_case_opts, Dispatch, ProcFactory};
-use crate::search::{CampaignConfig, CrashCase, NamedDispatch, TargetFn};
+use crate::sandbox::ProcFactory;
+use crate::search::{replay_case, CampaignConfig, CrashCase, NamedDispatch, TargetFn};
 
 /// One policy arm of an ablation study.
 pub struct AblationArm<'a> {
@@ -70,25 +69,11 @@ pub fn run_policy_ablation(
     let mut rows: BTreeMap<(String, String), AblationLine> = BTreeMap::new();
     for arm in arms.iter_mut() {
         for case in cases {
-            let Some(target) = targets.iter().find(|t| t.name == case.func) else {
+            let before = arm.probe.as_mut().map(|p| p());
+            let Some(out) = replay_case(case, targets, factory, config, &mut *arm.dispatch)
+            else {
                 continue;
             };
-            let plans: Vec<ParamPlan> = plan(&target.proto);
-            let seed = case_seed(config.seed, &case.func, &case.key);
-            let before = arm.probe.as_mut().map(|p| p());
-            let name = case.func.clone();
-            let dispatch = &mut *arm.dispatch;
-            let mut call = |p: &mut Proc, a: &[simproc::CVal]| dispatch(&name, p, a);
-            let boxed: Dispatch<'_> = &mut call;
-            let out = run_case_opts(
-                factory,
-                &plans,
-                &case.key,
-                seed,
-                config.fuel,
-                config.detect_silent,
-                boxed,
-            );
             let after = arm.probe.as_mut().map(|p| p());
             let row = rows
                 .entry((case.func.clone(), arm.policy.to_string()))
@@ -125,7 +110,7 @@ pub fn run_policy_ablation(
 mod tests {
     use super::*;
     use simlibc::setup::init_process;
-    use simproc::{CVal, Fault};
+    use simproc::{CVal, Fault, Proc};
 
     use crate::search::{run_campaign, targets_from_simlibc};
 

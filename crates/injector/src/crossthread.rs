@@ -18,10 +18,10 @@
 //! that does not reproduce under the identical schedule is a harness
 //! problem ([`Outcome::Flaky`]), not a property of the library.
 
-use simproc::{CVal, Fault, Proc, ThreadId, VirtAddr};
+use simproc::{splitmix64, CVal, Fault, Proc, ThreadId, VirtAddr};
 
-use crate::outcome::{classify, Outcome, TestOutcome};
-use crate::sandbox::ProcFactory;
+use crate::outcome::{Outcome, TestOutcome};
+use crate::sandbox::{quorum, run_sandboxed, ProcFactory};
 use crate::search::CampaignConfig;
 
 /// The cross-thread fault classes.
@@ -48,15 +48,6 @@ impl CrossThreadFault {
     }
 }
 
-/// splitmix64 over the case seed: interleaving decisions, not data.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Calls a bare simlibc function (no wrappers — this is the injector's
 /// view of the library, the same one the per-call campaign exercises).
 fn libc(p: &mut Proc, name: &str, args: &[CVal]) -> Result<CVal, Fault> {
@@ -75,8 +66,8 @@ fn racing_double_free(p: &mut Proc, seed: u64) -> Result<CVal, Fault> {
 
     // The schedule, decided by the seed: which thread frees first, and
     // whether allocation traffic intervenes between the racing frees.
-    let racer_first = mix(seed) & 1 == 0;
-    let traffic_between = mix(seed ^ 0xA5A5) & 1 == 0;
+    let racer_first = splitmix64(seed) & 1 == 0;
+    let traffic_between = splitmix64(seed ^ 0xA5A5) & 1 == 0;
 
     if racer_first {
         p.switch_thread(racer);
@@ -111,7 +102,7 @@ fn cross_thread_smash(p: &mut Proc, seed: u64) -> Result<CVal, Fault> {
     // usable), so the neighbour's header starts at payload offset 32 and
     // its size word at offset 40: reach past 40 to guarantee the smash
     // lands on metadata the neighbour's free will walk.
-    let reach = 41 + (mix(seed) % 15);
+    let reach = 41 + (splitmix64(seed) % 15);
     let junk = vec![0xEEu8; reach as usize];
     p.write_bytes(a, &junk)?;
 
@@ -124,11 +115,11 @@ fn cross_thread_smash(p: &mut Proc, seed: u64) -> Result<CVal, Fault> {
     Ok(CVal::Int(if c.as_ptr() == VirtAddr::NULL { DUP_CHUNK } else { 0 }))
 }
 
-/// Runs one cross-thread case in a fresh sandbox process and classifies
-/// the result on the standard outcome lattice. Like the per-call
-/// sandbox, a "successful" run that left the allocator's invariants
-/// broken (or handed one chunk out twice) is a [`Outcome::Silent`]
-/// failure — the corruption an attacker exploits later.
+/// Runs one cross-thread case in a fresh process through the per-call
+/// campaign's sandbox and classifies the result on the standard outcome
+/// lattice: a "successful" run that left the allocator's invariants
+/// broken is a [`Outcome::Silent`] failure, the corruption an attacker
+/// exploits later, and so is one that handed one chunk out twice.
 pub fn run_cross_thread_case(
     fault: CrossThreadFault,
     factory: ProcFactory,
@@ -136,31 +127,24 @@ pub fn run_cross_thread_case(
     fuel: u64,
 ) -> TestOutcome {
     let mut p = factory();
-    p.set_errno(0);
-    let errno_before = p.errno();
-    let start = p.cycles();
-    p.set_fuel_limit(Some(start + fuel));
-    let result = match fault {
-        CrossThreadFault::RacingDoubleFree => racing_double_free(&mut p, seed),
-        CrossThreadFault::CrossThreadSmash => cross_thread_smash(&mut p, seed),
-    };
-    p.set_fuel_limit(None);
-    let mut out = classify(result, errno_before, p.errno());
+    let mut out = run_sandboxed(&mut p, fuel, true, |p| match fault {
+        CrossThreadFault::RacingDoubleFree => racing_double_free(p, seed),
+        CrossThreadFault::CrossThreadSmash => cross_thread_smash(p, seed),
+    });
     if matches!(out.outcome, Outcome::Pass | Outcome::GracefulError)
-        && (out.ret == Some(CVal::Int(DUP_CHUNK))
-            || simlibc::heap::check_invariants(&p).is_err())
+        && out.ret == Some(CVal::Int(DUP_CHUNK))
     {
         out.outcome = Outcome::Silent;
     }
     out
 }
 
-/// [`run_cross_thread_case`] under the campaign's outcome-quorum
-/// discipline: a failing verdict is re-executed (with fuel backoff) and
-/// must reproduce exactly; one that does not is [`Outcome::Flaky`].
-/// Because the seed pins the whole thread schedule, a healthy harness
-/// never goes flaky here — the quorum is the regression tripwire for
-/// nondeterminism sneaking into the shared-address-space substrate.
+/// [`run_cross_thread_case`] under the campaign's outcome quorum: a
+/// failing verdict is re-executed (with fuel backoff) and must reproduce
+/// exactly; one that does not is [`Outcome::Flaky`]. Because the seed
+/// pins the whole thread schedule, a healthy harness never goes flaky
+/// here — the quorum is the regression tripwire for nondeterminism
+/// sneaking into the shared-address-space substrate.
 pub fn run_cross_thread_quorum(
     fault: CrossThreadFault,
     factory: ProcFactory,
@@ -168,22 +152,9 @@ pub fn run_cross_thread_quorum(
     config: &CampaignConfig,
 ) -> TestOutcome {
     let out = run_cross_thread_case(fault, factory, seed, config.fuel);
-    if config.quorum > 0 && out.outcome.is_failure() && out.outcome != Outcome::Hang {
-        let mut fuel = config.fuel;
-        for _ in 0..config.quorum {
-            fuel = fuel.saturating_mul(2);
-            let confirm = run_cross_thread_case(fault, factory, seed, fuel);
-            if confirm.outcome != out.outcome {
-                return TestOutcome {
-                    outcome: Outcome::Flaky,
-                    fault: None,
-                    errno: out.errno,
-                    ret: None,
-                };
-            }
-        }
-    }
-    out
+    quorum(out, config.quorum, config.fuel, |fuel| {
+        run_cross_thread_case(fault, factory, seed, fuel)
+    })
 }
 
 #[cfg(test)]

@@ -15,12 +15,13 @@
 //!
 //! Campaigns are crash-resilient: a durable [`CheckpointJournal`]
 //! records every completed case so interrupted runs resume losslessly
-//! ([`run_campaign_checkpointed`]), an outcome quorum re-confirms
-//! failures and classifies disagreements as [`Outcome::Flaky`], an
-//! adaptive watchdog escalates fuel before calling anything a hang, a
-//! per-function circuit breaker contains harness bugs, and wall-clock /
-//! case budgets degrade gracefully into a partial robust API with
-//! per-function confidence and coverage annotations.
+//! ([`run_campaign_with`] given a [`CampaignRun`] journal), an outcome
+//! quorum re-confirms failures and classifies disagreements as
+//! [`Outcome::Flaky`], an adaptive watchdog escalates fuel before
+//! calling anything a hang, a per-function circuit breaker contains
+//! harness bugs, and wall-clock / case budgets degrade gracefully into a
+//! partial robust API with per-function confidence and coverage
+//! annotations.
 //!
 //! ```no_run
 //! use injector::{run_campaign, targets_from_simlibc, CampaignConfig};
@@ -52,15 +53,12 @@ pub use crossthread::{run_cross_thread_case, run_cross_thread_quorum, CrossThrea
 pub use outcome::{classify, Outcome, TestOutcome};
 pub use report::{render_table, to_xml};
 pub use sandbox::{
-    case_seed, materialize, run_case, run_case_opts, value_count, CaseKey, Dispatch,
-    ProcFactory,
+    case_seed, materialize, run_case, value_count, CaseKey, Dispatch, ProcFactory,
 };
 pub use search::{
-    replay_cases, run_campaign, run_campaign_checkpointed,
-    run_campaign_checkpointed_with_hints, run_campaign_parallel,
-    run_campaign_parallel_checkpointed, run_campaign_with_hints, targets_from_simlibc,
-    targets_from_simmath, CampaignConfig, CampaignResult, CrashCase, FunctionReport,
-    NamedDispatch, ParamResult, ReplaySummary, TargetFn,
+    replay_case, replay_cases, run_campaign, run_campaign_with, targets_from_simlibc,
+    targets_from_simmath, CampaignConfig, CampaignResult, CampaignRun, CrashCase,
+    FunctionReport, NamedDispatch, ParamResult, ReplaySummary, TargetFn,
 };
 pub use substitution::{
     run_substitution_trial, Divergence, SubstitutionArms, SubstitutionSummary,

@@ -187,12 +187,12 @@ mod tests {
         let config = CampaignConfig { pair_values: 4, fuel: 200_000, ..Default::default() };
         let mut hints = typelattice::LadderHints::new();
         hints.set("strlen", vec![3]);
-        let result = crate::search::run_campaign_with_hints(
+        let result = crate::search::run_campaign_with(
             "libsimc.so.1",
             &targets,
             init_process,
             &config,
-            &hints,
+            &crate::search::CampaignRun { hints: Some(&hints), ..Default::default() },
         );
         assert!(result.total_pruned() > 0);
         let xml = to_xml(&result);

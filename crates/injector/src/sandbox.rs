@@ -98,22 +98,12 @@ pub fn materialize(
     args
 }
 
-/// Runs one case: fresh process, materialise, call under a fuel budget.
-/// Silent-corruption detection (the post-call heap invariant check) can
-/// be disabled for ablation studies via [`run_case_opts`].
+/// Runs one case: fresh process, materialise, then the call in the
+/// sandbox every injected body runs in. The sandbox clears errno, limits
+/// the call to `fuel` cycles, contains a host panic as
+/// [`Outcome::HostBug`] and classifies the result; `detect_silent` (off
+/// only to ablate) adds the post-call heap check for Silent corruption.
 pub fn run_case(
-    factory: ProcFactory,
-    plans: &[ParamPlan],
-    key: &CaseKey,
-    seed: u64,
-    fuel: u64,
-    call: Dispatch<'_>,
-) -> TestOutcome {
-    run_case_opts(factory, plans, key, seed, fuel, true, call)
-}
-
-/// [`run_case`] with explicit control over silent-corruption detection.
-pub fn run_case_opts(
     factory: ProcFactory,
     plans: &[ParamPlan],
     key: &CaseKey,
@@ -124,33 +114,70 @@ pub fn run_case_opts(
 ) -> TestOutcome {
     let mut proc = factory();
     let args = materialize(&mut proc, plans, key, seed);
+    run_sandboxed(&mut proc, fuel, detect_silent, |p| call(p, &args))
+}
+
+/// The sandbox every injected body runs in: errno cleared, a fuel
+/// limit of `fuel` cycles, a host panic contained as
+/// [`Outcome::HostBug`], and the result classified. With
+/// `detect_silent`, a "successful" call that corrupted allocator
+/// metadata is a Silent failure (the Ballista S class), e.g. strcpy
+/// overflowing a heap buffer without touching an unmapped page.
+pub(crate) fn run_sandboxed(
+    proc: &mut Proc,
+    fuel: u64,
+    detect_silent: bool,
+    body: impl FnOnce(&mut Proc) -> Result<CVal, Fault>,
+) -> TestOutcome {
     proc.set_errno(0);
     let errno_before = proc.errno();
     let start = proc.cycles();
     proc.set_fuel_limit(Some(start + fuel));
-    let result = catch_unwind(AssertUnwindSafe(|| call(&mut proc, &args)));
+    let result = catch_unwind(AssertUnwindSafe(|| body(&mut *proc)));
     proc.set_fuel_limit(None);
-    match result {
-        Ok(r) => {
-            let mut out = classify(r, errno_before, proc.errno());
-            // A "successful" call that corrupted allocator metadata is a
-            // Silent failure (the Ballista S class) — e.g. strcpy
-            // overflowing a heap buffer without touching an unmapped page.
-            if detect_silent
-                && matches!(out.outcome, Outcome::Pass | Outcome::GracefulError)
-                && simlibc::heap::check_invariants(&proc).is_err()
-            {
-                out.outcome = Outcome::Silent;
-            }
-            out
-        }
-        Err(_) => TestOutcome {
+    let Ok(result) = result else {
+        return TestOutcome {
             outcome: Outcome::HostBug,
             fault: None,
             errno: proc.errno(),
             ret: None,
-        },
+        };
+    };
+    let mut out = classify(result, errno_before, proc.errno());
+    if detect_silent
+        && matches!(out.outcome, Outcome::Pass | Outcome::GracefulError)
+        && simlibc::heap::check_invariants(proc).is_err()
+    {
+        out.outcome = Outcome::Silent;
     }
+    out
+}
+
+/// The outcome quorum: a non-hang failure is re-run `rounds` times, each
+/// with twice the fuel of the last (starting from `fuel`), and must
+/// reproduce exactly. One that does not is [`Outcome::Flaky`],
+/// first-class, instead of letting the last observation win.
+pub(crate) fn quorum(
+    out: TestOutcome,
+    rounds: usize,
+    mut fuel: u64,
+    mut rerun: impl FnMut(u64) -> TestOutcome,
+) -> TestOutcome {
+    if !out.outcome.is_failure() || out.outcome == Outcome::Hang {
+        return out;
+    }
+    for _ in 0..rounds {
+        fuel = fuel.saturating_mul(2);
+        if rerun(fuel).outcome != out.outcome {
+            return TestOutcome {
+                outcome: Outcome::Flaky,
+                fault: None,
+                errno: out.errno,
+                ret: None,
+            };
+        }
+    }
+    out
 }
 
 /// Number of values a rung generates (computed in a throwaway process so
@@ -201,7 +228,7 @@ mod tests {
         let seed = case_seed(1, "strlen", &key);
         let strlen = simlibc::find_symbol("strlen").unwrap().imp;
         let mut call = move |p: &mut Proc, a: &[CVal]| strlen(p, a);
-        let out = run_case(init_process, &plans, &key, seed, 100_000, &mut call);
+        let out = run_case(init_process, &plans, &key, seed, 100_000, true, &mut call);
         assert_eq!(out.outcome, Outcome::Crash, "{out:?}");
     }
 
@@ -213,7 +240,7 @@ mod tests {
         let seed = case_seed(1, "strlen", &key);
         let strlen = simlibc::find_symbol("strlen").unwrap().imp;
         let mut call = move |p: &mut Proc, a: &[CVal]| strlen(p, a);
-        let out = run_case(init_process, &plans, &key, seed, 1_000_000, &mut call);
+        let out = run_case(init_process, &plans, &key, seed, 1_000_000, true, &mut call);
         assert_eq!(out.outcome, Outcome::Pass, "{out:?}");
     }
 
@@ -224,7 +251,7 @@ mod tests {
         let mut call = |_p: &mut Proc, _a: &[CVal]| -> Result<CVal, Fault> {
             panic!("deliberate host bug")
         };
-        let out = run_case(init_process, &plans, &key, 1, 100_000, &mut call);
+        let out = run_case(init_process, &plans, &key, 1, 100_000, true, &mut call);
         assert_eq!(out.outcome, Outcome::HostBug);
     }
 

@@ -4,7 +4,7 @@
 //! breaker, and graceful degradation under a wall-clock/case budget.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cdecl::Prototype;
@@ -16,7 +16,7 @@ use typelattice::{
 use crate::checkpoint::{function_fingerprint, CheckpointJournal};
 use crate::outcome::{Outcome, TestOutcome};
 use crate::sandbox::{
-    case_seed, materialize, run_case_opts, value_count, CaseKey, Dispatch, ProcFactory,
+    case_seed, materialize, quorum, run_case, value_count, CaseKey, Dispatch, ProcFactory,
 };
 
 /// A function under test.
@@ -192,8 +192,8 @@ pub struct CampaignResult {
     /// was fully probed — the robust API is partial and per-function
     /// confidence/coverage annotations say where.
     pub complete: bool,
-    /// Per-worker throughput/outcome rows from a parallel run (empty
-    /// for serial campaigns). Which worker claimed which function is
+    /// Per-worker throughput/outcome rows, one per worker (one for a
+    /// single-thread run). Which worker claimed which function is
     /// scheduling-dependent, so these rows are deliberately kept out of
     /// the deterministic campaign XML; render them with
     /// [`profiler::render_worker_report`].
@@ -334,15 +334,10 @@ impl SearchCx<'_> {
         }
         let config = self.config;
         let seed = case_seed(config.seed, func, key);
-        let mut out = run_case_opts(
-            self.factory,
-            plans,
-            key,
-            seed,
-            config.fuel,
-            config.detect_silent,
-            &mut *call,
-        );
+        let mut run = |fuel| {
+            run_case(self.factory, plans, key, seed, fuel, config.detect_silent, &mut *call)
+        };
+        let mut out = run(config.fuel);
 
         // Adaptive watchdog: escalate the fuel budget geometrically up
         // to the deadline before letting a Hang classification stick.
@@ -351,45 +346,15 @@ impl SearchCx<'_> {
         while out.outcome == Outcome::Hang && settled_fuel < max_fuel {
             settled_fuel = settled_fuel.saturating_mul(2).min(max_fuel);
             tally.retries += 1;
-            out = run_case_opts(
-                self.factory,
-                plans,
-                key,
-                seed,
-                settled_fuel,
-                config.detect_silent,
-                &mut *call,
-            );
+            out = run(settled_fuel);
         }
 
-        // Outcome quorum: confirm non-hang failures, with per-retry fuel
-        // backoff starting from the fuel the watchdog settled at. A
-        // classification that does not reproduce is Flaky, first-class.
-        if config.quorum > 0 && out.outcome.is_failure() && out.outcome != Outcome::Hang {
-            let mut fuel = settled_fuel;
-            for _ in 0..config.quorum {
-                fuel = fuel.saturating_mul(2);
-                tally.retries += 1;
-                let confirm = run_case_opts(
-                    self.factory,
-                    plans,
-                    key,
-                    seed,
-                    fuel,
-                    config.detect_silent,
-                    &mut *call,
-                );
-                if confirm.outcome != out.outcome {
-                    out = TestOutcome {
-                        outcome: Outcome::Flaky,
-                        fault: None,
-                        errno: out.errno,
-                        ret: None,
-                    };
-                    break;
-                }
-            }
-        }
+        // Outcome quorum, with fuel backoff from where the watchdog
+        // settled.
+        let out = quorum(out, config.quorum, settled_fuel, |fuel| {
+            tally.retries += 1;
+            run(fuel)
+        });
 
         // Host bugs are defects of the harness, not observations about
         // the library — never checkpoint them (a fixed host should
@@ -480,180 +445,132 @@ fn function_entry(
     }
 }
 
+/// How a campaign runs, beyond what it probes: where completed cases
+/// are checkpointed, which ladder floors seed the climb, and how many
+/// threads share the work. The default is what [`run_campaign`] does: a
+/// journal kept for this run only, no hints, one thread.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignRun<'a> {
+    /// Durable checkpoint journal. Every completed case's classification
+    /// is recorded in it, and cases already recorded (same function,
+    /// prototype, ladder and seed) are answered from it instead of
+    /// executing, so an interrupted or budget-limited campaign resumed
+    /// with the same journal picks up where it stopped and converges on
+    /// the uninterrupted result. The journal is internally synchronised;
+    /// `None` keeps one for this run only.
+    pub journal: Option<&'a CheckpointJournal>,
+    /// Contract-derived ladder floors: each hinted parameter's climb
+    /// starts at its floor rung, and the cases the floor made unnecessary
+    /// are counted as `pruned` instead of executing. Floors are advisory
+    /// (one beyond the ladder is clamped), and because they change only
+    /// where the climb starts, never the plans, case keys or seeds, sound
+    /// floors yield the unhinted robust API with fewer injected calls and
+    /// hinted and unhinted runs share journals.
+    pub hints: Option<&'a LadderHints>,
+    /// Workers claiming one function at a time (`0` counts as `1`).
+    /// Worker 0 is the calling thread, so a one-thread run spawns
+    /// nothing. Results do not depend on the count: every case is
+    /// deterministic in the seed and each function's search is
+    /// independent. Only wall-clock time changes, the "group of high-end
+    /// PCs" economics of §2.2 on one machine. With a budget set, which
+    /// cases execute before it runs out depends on scheduling, but the
+    /// journal only accumulates deterministic classifications, so resumed
+    /// runs still converge.
+    pub threads: usize,
+}
+
+impl Default for CampaignRun<'_> {
+    fn default() -> Self {
+        CampaignRun { journal: None, hints: None, threads: 1 }
+    }
+}
+
 /// Runs the fault-injection campaign over `targets`, deriving the robust
-/// API of the library. Single-shot: no checkpoint journal is kept
-/// across calls (see [`run_campaign_checkpointed`] for resumable runs).
+/// API of the library: [`run_campaign_with`] on the calling thread, with
+/// no hints and no journal kept across calls.
 pub fn run_campaign(
     library: &str,
     targets: &[TargetFn],
     factory: ProcFactory,
     config: &CampaignConfig,
 ) -> CampaignResult {
-    let journal = CheckpointJournal::new();
-    run_campaign_checkpointed(library, targets, factory, config, &journal)
+    run_campaign_with(library, targets, factory, config, &CampaignRun::default())
 }
 
-/// [`run_campaign`] with contract-derived [`LadderHints`]: each hinted
-/// parameter's ladder climb starts at its floor rung, and the cases the
-/// floor made unnecessary are counted as `pruned` in the reports instead
-/// of executing. Floors are advisory — an unhintable floor (beyond the
-/// ladder) is clamped — and sound floors yield the same robust API as
-/// the unhinted search with fewer injected calls.
-pub fn run_campaign_with_hints(
+/// Runs the fault-injection campaign over `targets` as `run` says:
+/// checkpointed, hinted and fanned out across threads in any
+/// combination. Every run reports one [`profiler::WorkerLine`] per
+/// worker.
+pub fn run_campaign_with(
     library: &str,
     targets: &[TargetFn],
     factory: ProcFactory,
     config: &CampaignConfig,
-    hints: &LadderHints,
+    run: &CampaignRun<'_>,
 ) -> CampaignResult {
-    let journal = CheckpointJournal::new();
-    run_campaign_checkpointed_with_hints(library, targets, factory, config, &journal, hints)
-}
-
-/// [`run_campaign`] backed by a durable checkpoint journal: every
-/// completed case's classification is recorded in `journal`, and cases
-/// already recorded (same function, prototype, ladder and seed) are
-/// replayed from it instead of executing. An interrupted or
-/// budget-limited campaign resumed with the same journal picks up
-/// exactly where it stopped and converges on the same result as an
-/// uninterrupted run.
-pub fn run_campaign_checkpointed(
-    library: &str,
-    targets: &[TargetFn],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    journal: &CheckpointJournal,
-) -> CampaignResult {
-    run_checkpointed_inner(library, targets, factory, config, journal, None)
-}
-
-/// [`run_campaign_checkpointed`] with contract-derived [`LadderHints`]
-/// (see [`run_campaign_with_hints`]). Because floors change only where
-/// the climb *starts* — never the plans, case keys or seeds — the same
-/// journal serves hinted and unhinted campaigns interchangeably.
-pub fn run_campaign_checkpointed_with_hints(
-    library: &str,
-    targets: &[TargetFn],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    journal: &CheckpointJournal,
-    hints: &LadderHints,
-) -> CampaignResult {
-    run_checkpointed_inner(library, targets, factory, config, journal, Some(hints))
-}
-
-fn run_checkpointed_inner(
-    library: &str,
-    targets: &[TargetFn],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    journal: &CheckpointJournal,
-    hints: Option<&LadderHints>,
-) -> CampaignResult {
-    let budget = BudgetClock::new(config);
-    let cx = SearchCx { config, factory, journal, budget: &budget, hints };
-    let mut reports = Vec::new();
-    let mut functions = Vec::new();
-    let mut crashes = Vec::new();
-
-    for target in targets {
-        let (report, robust, mut cases) = function_entry(&cx, target);
-        reports.push(report);
-        functions.push(robust);
-        crashes.append(&mut cases);
-    }
-
-    CampaignResult {
-        library: library.to_string(),
-        reports,
-        api: RobustApi { library: library.to_string(), functions },
-        crashes,
-        complete: !budget.is_exhausted(),
-        worker_metrics: Vec::new(),
-    }
-}
-
-/// [`run_campaign`] fanned out across worker threads, one function per
-/// task. Results are identical to the serial run (every case is
-/// deterministic in the seed and the per-function search is independent);
-/// only wall-clock time changes — the "group of high-end PCs" economics
-/// of §2.2, on one machine.
-pub fn run_campaign_parallel(
-    library: &str,
-    targets: &[TargetFn],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    threads: usize,
-) -> CampaignResult {
-    let journal = CheckpointJournal::new();
-    run_campaign_parallel_checkpointed(library, targets, factory, config, threads, &journal)
-}
-
-/// [`run_campaign_parallel`] backed by a shared checkpoint journal (the
-/// journal is internally synchronised). With a budget set, *which* cases
-/// execute before exhaustion depends on thread scheduling, but repeated
-/// resumed runs still converge on the uninterrupted result: the journal
-/// only ever accumulates deterministic per-case classifications.
-pub fn run_campaign_parallel_checkpointed(
-    library: &str,
-    targets: &[TargetFn],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    threads: usize,
-    journal: &CheckpointJournal,
-) -> CampaignResult {
-    let threads = threads.max(1);
-    let budget = BudgetClock::new(config);
-    let mut slots: Vec<Option<(FunctionReport, RobustFunction, Vec<CrashCase>)>> =
-        (0..targets.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots_mutex = std::sync::Mutex::new(&mut slots);
-    let worker_lines = std::sync::Mutex::new(Vec::with_capacity(threads));
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (next, budget) = (&next, &budget);
-            let (slots_mutex, worker_lines) = (&slots_mutex, &worker_lines);
-            scope.spawn(move || {
-                let cx = SearchCx { config, factory, journal, budget, hints: None };
-                let started = Instant::now();
-                let mut line = profiler::WorkerLine {
-                    worker: format!("worker-{w}"),
-                    functions: 0,
-                    executed: 0,
-                    checkpoint_hits: 0,
-                    retries: 0,
-                    failures: 0,
-                    elapsed_micros: 0,
-                };
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(target) = targets.get(i) else { break };
-                    let outcome = function_entry(&cx, target);
-                    line.functions += 1;
-                    line.executed += outcome.0.tests - outcome.0.checkpoint_hits;
-                    line.checkpoint_hits += outcome.0.checkpoint_hits;
-                    line.retries += outcome.0.retries;
-                    line.failures += outcome.2.len();
-                    slots_mutex.lock().expect("slot lock")[i] = Some(outcome);
-                }
-                line.elapsed_micros = started.elapsed().as_micros() as u64;
-                worker_lines.lock().expect("worker lines lock").push(line);
-            });
+    let private;
+    let journal = match run.journal {
+        Some(journal) => journal,
+        None => {
+            private = CheckpointJournal::new();
+            &private
         }
+    };
+    let budget = BudgetClock::new(config);
+    let cx = SearchCx { config, factory, journal, budget: &budget, hints: run.hints };
+    let next = AtomicUsize::new(0);
+    let work = |w: usize| {
+        let started = Instant::now();
+        let mut line = profiler::WorkerLine {
+            worker: format!("worker-{w}"),
+            functions: 0,
+            executed: 0,
+            checkpoint_hits: 0,
+            retries: 0,
+            failures: 0,
+            elapsed_micros: 0,
+        };
+        let mut claimed = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(target) = targets.get(i) else { break };
+            let entry = function_entry(&cx, target);
+            line.functions += 1;
+            line.executed += entry.0.tests - entry.0.checkpoint_hits;
+            line.checkpoint_hits += entry.0.checkpoint_hits;
+            line.retries += entry.0.retries;
+            line.failures += entry.2.len();
+            claimed.push((i, entry));
+        }
+        line.elapsed_micros = started.elapsed().as_micros() as u64;
+        (line, claimed)
+    };
+    let workers = std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> =
+            (1..run.threads.max(1)).map(|w| scope.spawn(move || work(w))).collect();
+        let mut workers = vec![work(0)];
+        for handle in spawned {
+            workers.push(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        workers
     });
 
+    let mut worker_metrics = Vec::with_capacity(workers.len());
+    let mut entries = Vec::with_capacity(targets.len());
+    for (line, mut claimed) in workers {
+        worker_metrics.push(line);
+        entries.append(&mut claimed);
+    }
+    entries.sort_unstable_by_key(|&(i, _)| i);
     let mut reports = Vec::with_capacity(targets.len());
     let mut functions = Vec::with_capacity(targets.len());
     let mut crashes = Vec::new();
-    for slot in slots {
-        let (report, robust, mut cases) = slot.expect("every slot filled");
+    for (_, (report, robust, mut cases)) in entries {
         reports.push(report);
         functions.push(robust);
         crashes.append(&mut cases);
     }
-    let mut worker_metrics = worker_lines.into_inner().expect("worker lines lock");
-    worker_metrics.sort_by(|a, b| a.worker.cmp(&b.worker));
     CampaignResult {
         library: library.to_string(),
         reports,
@@ -963,6 +880,32 @@ fn search_function(
 pub type NamedDispatch<'a> =
     &'a mut dyn FnMut(&str, &mut Proc, &[CVal]) -> Result<CVal, Fault>;
 
+/// Replays one recorded crash case through `dispatch`, in a fresh
+/// sandbox built exactly as the campaign built it: same plans, same
+/// per-case seed, same fuel and Silent detection. `None` when the case's
+/// function is not among `targets`.
+pub fn replay_case(
+    case: &CrashCase,
+    targets: &[TargetFn],
+    factory: ProcFactory,
+    config: &CampaignConfig,
+    dispatch: NamedDispatch<'_>,
+) -> Option<TestOutcome> {
+    let target = targets.iter().find(|t| t.name == case.func)?;
+    let plans = plan(&target.proto);
+    let seed = case_seed(config.seed, &case.func, &case.key);
+    let mut call = |p: &mut Proc, a: &[CVal]| dispatch(&case.func, p, a);
+    Some(run_case(
+        factory,
+        &plans,
+        &case.key,
+        seed,
+        config.fuel,
+        config.detect_silent,
+        &mut call,
+    ))
+}
+
 /// Replays recorded crash cases through an arbitrary dispatch (typically
 /// a generated wrapper) and reports how many still fail — the
 /// before/after comparison of the paper's §3.1 demo.
@@ -979,23 +922,9 @@ pub fn replay_cases(
     let mut by_function: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     let mut histogram: BTreeMap<Outcome, usize> = BTreeMap::new();
     for case in cases {
-        let Some(target) = targets.iter().find(|t| t.name == case.func) else {
+        let Some(out) = replay_case(case, targets, factory, config, &mut *dispatch) else {
             continue;
         };
-        let plans: Vec<ParamPlan> = plan(&target.proto);
-        let seed = case_seed(config.seed, &case.func, &case.key);
-        let name = case.func.clone();
-        let mut call = |p: &mut Proc, a: &[CVal]| dispatch(&name, p, a);
-        let boxed: Dispatch<'_> = &mut call;
-        let out = run_case_opts(
-            factory,
-            &plans,
-            &case.key,
-            seed,
-            config.fuel,
-            config.detect_silent,
-            boxed,
-        );
         let entry = by_function.entry(case.func.clone()).or_insert((0, 0));
         entry.0 += 1;
         *histogram.entry(out.outcome).or_insert(0) += 1;
@@ -1157,66 +1086,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_campaign_matches_serial() {
-        let targets: Vec<_> = targets_from_simlibc()
+    fn six_targets() -> Vec<TargetFn> {
+        targets_from_simlibc()
             .into_iter()
             .filter(|t| {
                 ["strlen", "strcpy", "isalpha", "abs", "exit", "memset"]
                     .contains(&t.name.as_str())
             })
-            .collect();
+            .collect()
+    }
+
+    fn threaded(threads: usize) -> CampaignRun<'static> {
+        CampaignRun { threads, ..CampaignRun::default() }
+    }
+
+    #[test]
+    fn parallel_campaign_matches_serial() {
+        let targets = six_targets();
         let config = quick_config();
         let serial = run_campaign("l", &targets, init_process, &config);
-        let parallel = run_campaign_parallel("l", &targets, init_process, &config, 4);
-        assert_eq!(serial.total_tests(), parallel.total_tests());
-        assert_eq!(serial.total_failures(), parallel.total_failures());
-        for (a, b) in serial.reports.iter().zip(&parallel.reports) {
-            assert_eq!(a.name, b.name, "order preserved");
-            assert_eq!(a.histogram, b.histogram, "{}", a.name);
-            assert_eq!(a.skipped, b.skipped);
-            assert_eq!(a.confidence, b.confidence);
-            assert_eq!(a.coverage, b.coverage);
-        }
-        for (a, b) in serial.api.functions.iter().zip(&parallel.api.functions) {
-            assert_eq!(a.preds, b.preds, "{}", a.proto.name);
+        for threads in [1, 2, 4] {
+            let parallel =
+                run_campaign_with("l", &targets, init_process, &config, &threaded(threads));
+            assert_eq!(serial.total_tests(), parallel.total_tests(), "{threads} threads");
+            assert_eq!(
+                serial.total_failures(),
+                parallel.total_failures(),
+                "{threads} threads"
+            );
+            for (a, b) in serial.reports.iter().zip(&parallel.reports) {
+                assert_eq!(a.name, b.name, "order preserved ({threads} threads)");
+                assert_eq!(a.histogram, b.histogram, "{} ({threads} threads)", a.name);
+                assert_eq!(a.skipped, b.skipped);
+                assert_eq!(a.confidence, b.confidence);
+                assert_eq!(a.coverage, b.coverage);
+            }
+            for (a, b) in serial.api.functions.iter().zip(&parallel.api.functions) {
+                assert_eq!(a.preds, b.preds, "{} ({threads} threads)", a.proto.name);
+            }
         }
     }
 
     #[test]
     fn worker_metrics_account_for_the_whole_campaign() {
-        let targets: Vec<_> = targets_from_simlibc()
-            .into_iter()
-            .filter(|t| {
-                ["strlen", "strcpy", "isalpha", "abs", "exit", "memset"]
-                    .contains(&t.name.as_str())
-            })
-            .collect();
+        let targets = six_targets();
         let config = quick_config();
         let serial = run_campaign("l", &targets, init_process, &config);
-        assert!(serial.worker_metrics.is_empty(), "serial runs have no workers");
+        assert_eq!(serial.worker_metrics.len(), 1, "a one-thread run has one worker");
+        assert_eq!(serial.worker_metrics[0].worker, "worker-0");
+        assert_eq!(serial.worker_metrics[0].functions, targets.len());
 
-        let parallel = run_campaign_parallel("l", &targets, init_process, &config, 4);
+        let parallel =
+            run_campaign_with("l", &targets, init_process, &config, &threaded(4));
         assert_eq!(parallel.worker_metrics.len(), 4, "one row per worker");
         let names: Vec<_> =
             parallel.worker_metrics.iter().map(|w| w.worker.as_str()).collect();
         assert_eq!(names, vec!["worker-0", "worker-1", "worker-2", "worker-3"]);
         // Scheduling decides who did what, but the totals must account
         // for every function, execution, hit, retry and failure.
-        let functions: usize = parallel.worker_metrics.iter().map(|w| w.functions).sum();
-        let executed: usize = parallel.worker_metrics.iter().map(|w| w.executed).sum();
-        let hits: usize = parallel.worker_metrics.iter().map(|w| w.checkpoint_hits).sum();
-        let retries: usize = parallel.worker_metrics.iter().map(|w| w.retries).sum();
-        let failures: usize = parallel.worker_metrics.iter().map(|w| w.failures).sum();
-        assert_eq!(functions, targets.len());
-        assert_eq!(executed, parallel.executed_cases());
-        assert_eq!(hits, parallel.checkpoint_hits());
-        assert_eq!(retries, parallel.total_retries());
-        assert_eq!(failures, parallel.total_failures());
+        for run in [&serial, &parallel] {
+            let functions: usize = run.worker_metrics.iter().map(|w| w.functions).sum();
+            let executed: usize = run.worker_metrics.iter().map(|w| w.executed).sum();
+            let hits: usize = run.worker_metrics.iter().map(|w| w.checkpoint_hits).sum();
+            let retries: usize = run.worker_metrics.iter().map(|w| w.retries).sum();
+            let failures: usize = run.worker_metrics.iter().map(|w| w.failures).sum();
+            assert_eq!(functions, targets.len());
+            assert_eq!(executed, run.executed_cases());
+            assert_eq!(hits, run.checkpoint_hits());
+            assert_eq!(retries, run.total_retries());
+            assert_eq!(failures, run.total_failures());
+        }
         // The rows render through the profiler's report vocabulary.
         let rendered = profiler::render_worker_report("l", &parallel.worker_metrics);
         assert!(rendered.contains("worker-0"), "{rendered}");
         assert!(rendered.contains("total"), "{rendered}");
+    }
+
+    static FACTORY_CALLS: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static FACTORY_CALLS_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn counting_factory() -> Proc {
+        FACTORY_CALLS.fetch_add(1, Ordering::Relaxed);
+        FACTORY_CALLS_HERE.with(|n| n.set(n.get() + 1));
+        init_process()
+    }
+
+    #[test]
+    fn single_thread_campaign_builds_processes_on_the_callers_thread() {
+        let result =
+            run_campaign("l", &single_target("strlen"), counting_factory, &quick_config());
+        assert!(result.executed_cases() > 0);
+        let here = FACTORY_CALLS_HERE.with(|n| n.get());
+        assert!(here > 0, "the factory must have run");
+        assert_eq!(
+            here,
+            FACTORY_CALLS.load(Ordering::Relaxed),
+            "every call on this thread"
+        );
     }
 
     #[test]
@@ -1227,7 +1195,13 @@ mod tests {
         // Floor the climb at the rung the campaign derives anyway (cstr).
         let mut hints = LadderHints::new();
         hints.set("strlen", vec![3]);
-        let hinted = run_campaign_with_hints("l", &targets, init_process, &config, &hints);
+        let hinted = run_campaign_with(
+            "l",
+            &targets,
+            init_process,
+            &config,
+            &CampaignRun { hints: Some(&hints), ..CampaignRun::default() },
+        );
         assert_eq!(hinted.api.to_xml(), unhinted.api.to_xml(), "same robust API");
         assert_eq!(unhinted.total_pruned(), 0);
         assert!(hinted.total_pruned() > 0, "floored rungs must be accounted");
@@ -1244,8 +1218,13 @@ mod tests {
         let targets = single_target("strlen");
         let mut hints = LadderHints::new();
         hints.set("strlen", vec![99]);
-        let result =
-            run_campaign_with_hints("l", &targets, init_process, &quick_config(), &hints);
+        let result = run_campaign_with(
+            "l",
+            &targets,
+            init_process,
+            &quick_config(),
+            &CampaignRun { hints: Some(&hints), ..CampaignRun::default() },
+        );
         let f = result.api.function("strlen").unwrap();
         assert_eq!(f.preds, vec![SafePred::CStr], "clamped to the strongest rung");
     }
@@ -1255,17 +1234,17 @@ mod tests {
         let targets = single_target("strlen");
         let config = quick_config();
         let journal = CheckpointJournal::new();
-        let first =
-            run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+        let checkpointed =
+            CampaignRun { journal: Some(&journal), ..CampaignRun::default() };
+        let first = run_campaign_with("l", &targets, init_process, &config, &checkpointed);
         let mut hints = LadderHints::new();
         hints.set("strlen", vec![3]);
-        let hinted = run_campaign_checkpointed_with_hints(
+        let hinted = run_campaign_with(
             "l",
             &targets,
             init_process,
             &config,
-            &journal,
-            &hints,
+            &CampaignRun { hints: Some(&hints), ..checkpointed },
         );
         assert_eq!(hinted.executed_cases(), 0, "floors never change the fingerprint");
         assert_eq!(
@@ -1293,12 +1272,12 @@ mod tests {
         let targets = single_target("strlen");
         let config = quick_config();
         let journal = CheckpointJournal::new();
-        let first =
-            run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+        let checkpointed =
+            CampaignRun { journal: Some(&journal), ..CampaignRun::default() };
+        let first = run_campaign_with("l", &targets, init_process, &config, &checkpointed);
         assert_eq!(first.checkpoint_hits(), 0);
         assert!(first.executed_cases() > 0);
-        let again =
-            run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+        let again = run_campaign_with("l", &targets, init_process, &config, &checkpointed);
         assert_eq!(
             again.executed_cases(),
             0,
@@ -1369,7 +1348,7 @@ mod tests {
         };
         let key = CaseKey::Ladder { param: 0, rung_idx: 0, value_idx: 0 };
         let seed = case_seed(1, "slow", &key);
-        let starved = run_case_opts(init_process, &plans, &key, seed, 50, true, &mut call);
+        let starved = run_case(init_process, &plans, &key, seed, 50, true, &mut call);
         assert_eq!(starved.outcome, Outcome::Hang, "starved fuel must look like a hang");
 
         let config = CampaignConfig {

@@ -11,20 +11,20 @@
 //! behaviour is unsound no matter how many overflows it prevents, and
 //! CI fails on a single divergence.
 //!
-//! Deterministic like the policy ablation: per-case seeds come from
-//! [`case_seed`], rows land in a `BTreeMap`, and two same-seed runs
-//! return byte-identical rows (and byte-identical rendered reports).
+//! Deterministic like the policy ablation: cases replay through
+//! [`replay_case`], per-case seeds come from
+//! [`case_seed`](crate::case_seed), rows land in a `BTreeMap`, and two
+//! same-seed runs return byte-identical rows (and byte-identical
+//! rendered reports).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use profiler::SubstitutionLine;
-use simproc::Proc;
-use typelattice::{plan, ParamPlan};
 
 use crate::outcome::{Outcome, TestOutcome};
-use crate::sandbox::{case_seed, run_case_opts, Dispatch, ProcFactory};
-use crate::search::{CampaignConfig, CrashCase, NamedDispatch, TargetFn};
+use crate::sandbox::ProcFactory;
+use crate::search::{replay_case, CampaignConfig, CrashCase, NamedDispatch, TargetFn};
 
 /// The three dispatch arms of a substitution trial.
 pub struct SubstitutionArms<'a> {
@@ -70,20 +70,6 @@ pub struct SubstitutionSummary {
     pub divergences: Vec<Divergence>,
 }
 
-fn replay(
-    case: &CrashCase,
-    plans: &[ParamPlan],
-    factory: ProcFactory,
-    config: &CampaignConfig,
-    seed: u64,
-    dispatch: NamedDispatch<'_>,
-) -> TestOutcome {
-    let name = case.func.clone();
-    let mut call = |p: &mut Proc, a: &[simproc::CVal]| dispatch(&name, p, a);
-    let boxed: Dispatch<'_> = &mut call;
-    run_case_opts(factory, plans, &case.key, seed, config.fuel, config.detect_silent, boxed)
-}
-
 /// Replays `cases` through all three arms and returns the
 /// prevented-vs-detected rows plus the divergence list.
 pub fn run_substitution_trial(
@@ -96,17 +82,15 @@ pub fn run_substitution_trial(
     let mut rows: BTreeMap<String, SubstitutionLine> = BTreeMap::new();
     let mut divergences = Vec::new();
     for case in cases {
-        let Some(target) = targets.iter().find(|t| t.name == case.func) else {
+        let Some(det) = replay_case(case, targets, factory, config, &mut *arms.detect)
+        else {
             continue;
         };
-        let plans: Vec<ParamPlan> = plan(&target.proto);
-        let seed = case_seed(config.seed, &case.func, &case.key);
-
-        let det = replay(case, &plans, factory, config, seed, &mut *arms.detect);
         let before = (arms.prevented_probe)();
-        let sub = replay(case, &plans, factory, config, seed, &mut *arms.substitute);
+        let sub = replay_case(case, targets, factory, config, &mut *arms.substitute);
         let after = (arms.prevented_probe)();
-        let reference = replay(case, &plans, factory, config, seed, &mut *arms.reference);
+        let reference = replay_case(case, targets, factory, config, &mut *arms.reference);
+        let (Some(sub), Some(reference)) = (sub, reference) else { continue };
 
         let row = rows.entry(case.func.clone()).or_insert_with(|| SubstitutionLine {
             func: case.func.clone(),
@@ -152,7 +136,7 @@ pub fn run_substitution_trial(
 mod tests {
     use super::*;
     use simlibc::setup::init_process;
-    use simproc::{CVal, Fault};
+    use simproc::{CVal, Fault, Proc};
     use typelattice::{ExtentClass, ProofStep, SubstFamily, SubstitutionPlan};
     use wrappergen::{build_wrapper, WrapperConfig, WrapperKind};
 

@@ -4,8 +4,8 @@
 //! must invalidate precisely the function they belong to.
 
 use injector::{
-    run_campaign, run_campaign_checkpointed, targets_from_simlibc, to_xml, CampaignConfig,
-    CheckpointJournal, TargetFn,
+    run_campaign, run_campaign_with, targets_from_simlibc, to_xml, CampaignConfig,
+    CampaignResult, CampaignRun, CheckpointJournal, TargetFn,
 };
 use proptest::prelude::*;
 use simlibc::setup::init_process;
@@ -19,6 +19,15 @@ fn slice(names: &[&str]) -> Vec<TargetFn> {
 
 fn quick_config() -> CampaignConfig {
     CampaignConfig { pair_values: 4, fuel: 300_000, ..CampaignConfig::default() }
+}
+
+fn checkpointed(
+    targets: &[TargetFn],
+    config: &CampaignConfig,
+    journal: &CheckpointJournal,
+) -> CampaignResult {
+    let run = CampaignRun { journal: Some(journal), ..CampaignRun::default() };
+    run_campaign_with("l", targets, init_process, config, &run)
 }
 
 proptest! {
@@ -41,13 +50,7 @@ proptest! {
         loop {
             rounds += 1;
             prop_assert!(rounds < 1000, "must converge");
-            let r = run_campaign_checkpointed(
-                "l",
-                &targets,
-                init_process,
-                &limited,
-                &journal,
-            );
+            let r = checkpointed(&targets, &limited, &journal);
             if r.complete {
                 prop_assert_eq!(r.api.to_xml(), full.api.to_xml());
                 prop_assert_eq!(to_xml(&r), to_xml(&full));
@@ -68,7 +71,7 @@ fn changed_prototype_invalidates_only_that_function() {
     let mut targets = slice(&["strlen", "isalpha"]);
     let config = quick_config();
     let journal = CheckpointJournal::new();
-    let first = run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+    let first = checkpointed(&targets, &config, &journal);
     assert_eq!(first.checkpoint_hits(), 0);
 
     // A "new release" ships strlen with a changed prototype.
@@ -76,7 +79,7 @@ fn changed_prototype_invalidates_only_that_function() {
     let idx = targets.iter().position(|t| t.name == "strlen").unwrap();
     targets[idx].proto = cdecl::parse_prototype("size_t strlen(char *s);", &table).unwrap();
 
-    let second = run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+    let second = checkpointed(&targets, &config, &journal);
     for report in &second.reports {
         if report.name == "strlen" {
             assert_eq!(
@@ -102,9 +105,8 @@ fn changed_seed_misses_the_cache() {
     let targets = slice(&["isalpha"]);
     let journal = CheckpointJournal::new();
     let config = quick_config();
-    run_campaign_checkpointed("l", &targets, init_process, &config, &journal);
+    checkpointed(&targets, &config, &journal);
     let reseeded = CampaignConfig { seed: 7, ..quick_config() };
-    let second =
-        run_campaign_checkpointed("l", &targets, init_process, &reseeded, &journal);
+    let second = checkpointed(&targets, &reseeded, &journal);
     assert_eq!(second.checkpoint_hits(), 0);
 }

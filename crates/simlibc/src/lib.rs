@@ -225,6 +225,14 @@ pub fn find_symbol(name: &str) -> Option<SymbolDef> {
     symbols().into_iter().find(|s| s.name == name)
 }
 
+/// The implementation a simulated system library binds to `name`:
+/// `libsimc.so.1` first, then `libsimm.so.1`.
+pub fn find_impl(name: &str) -> Option<HostFn> {
+    find_symbol(name).map(|s| s.imp).or_else(|| {
+        math::math_symbols().into_iter().find(|s| s.name == name).map(|s| s.imp)
+    })
+}
+
 /// A synthetic header file for the whole library — what the HEALERS
 /// prototype-extraction stage parses in the §3.1 demo.
 pub fn header_text() -> String {

@@ -53,3 +53,15 @@ pub use kernel::{Kernel, KernelError, OpenMode};
 pub use mem::{AddressSpace, EpochHandle, MapError, Region};
 pub use oracle::{ExtentOracle, RegionOracle};
 pub use proc::{Frame, HostFn, Proc, ThreadId, DEFAULT_CALL_FUEL};
+
+/// splitmix64: the one deterministic stream every seeded schedule in the
+/// workspace draws from (a server's request mix, a fleet's per-instance
+/// faults, a cross-thread case's interleaving). Same input, same output,
+/// on every platform and toolchain.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

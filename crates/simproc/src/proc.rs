@@ -254,8 +254,8 @@ impl Proc {
     /// the stack pointer/bounds and the validation memo are swapped; the
     /// address space, heap, kernel, fuel meter and epoch stay shared. A
     /// no-op when `tid` is already current. Deliberately *not* an epoch
-    /// bump: per-thread memo tables keep cached verdicts sound across
-    /// switches (see [`SimThread`]).
+    /// bump: each thread keeps its own memo table, so cached verdicts
+    /// stay sound across switches.
     ///
     /// # Panics
     ///

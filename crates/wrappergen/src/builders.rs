@@ -220,12 +220,6 @@ fn security_relevant(pred: &SafePred) -> bool {
 /// The functions the canary micro-generator interposes.
 const CANARY_FUNCS: &[&str] = &["malloc", "calloc", "free", "realloc", "exit"];
 
-fn lookup_impl(name: &str) -> Option<HostFn> {
-    simlibc::find_symbol(name).map(|s| s.imp).or_else(|| {
-        simlibc::math::math_symbols().into_iter().find(|s| s.name == name).map(|s| s.imp)
-    })
-}
-
 /// Builds one of the standard wrapper libraries from a robust API,
 /// binding the simulated system libraries' implementations.
 pub fn build_wrapper(
@@ -233,7 +227,7 @@ pub fn build_wrapper(
     api: &RobustApi,
     config: &WrapperConfig,
 ) -> WrapperLibrary {
-    build_wrapper_with_impls(kind, api, config, &lookup_impl)
+    build_wrapper_with_impls(kind, api, config, &simlibc::find_impl)
 }
 
 /// [`build_wrapper`] with an explicit implementation lookup — for
@@ -496,7 +490,7 @@ impl WrapperBuilder {
         let protos = simlibc::prototypes();
         let mut fns = BTreeMap::new();
         for (name, hooks) in &self.entries {
-            let Some(imp) = lookup_impl(name) else { continue };
+            let Some(imp) = simlibc::find_impl(name) else { continue };
             let Some(proto) = protos.iter().find(|p| &p.name == name).cloned() else {
                 continue;
             };

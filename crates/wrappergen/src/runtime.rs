@@ -651,7 +651,7 @@ impl WrappedFn {
     /// Invokes the wrapper: prefix hooks in order, the original (unless
     /// contained), postfix hooks in reverse order.
     ///
-    /// When a compiled [`CallPlan`] exists and the arity matches, the
+    /// When a compiled call plan exists and the arity matches, the
     /// accept path runs it instead: truncation masks and check ops from
     /// flat arrays, arguments in a stack buffer, zero heap allocation.
     /// Check failures and faults fall back to the dynamic pipeline (or a
@@ -873,36 +873,47 @@ impl WrappedFn {
             entry_cycles,
             scratch: cx_scratch,
         };
-        let mut fault = first_fault;
-        let mut attempt: u32 = 0;
-        let result = loop {
-            let mut decision = FaultDecision::Propagate;
-            for hook in self.inner.hooks.iter() {
-                match hook.on_fault(&mut cx, &fault, attempt) {
-                    FaultDecision::Propagate => {}
-                    d => {
-                        decision = d;
-                        break;
-                    }
-                }
-            }
-            match decision {
-                FaultDecision::Propagate => break Err(fault),
-                FaultDecision::Substitute(v) => break Ok(v),
-                FaultDecision::Retry => {
-                    attempt += 1;
-                    match (self.inner.original)(cx.proc, &cx.args) {
-                        Ok(v) => break Ok(v),
-                        Err(f @ Fault::Exit(_)) => break Err(f),
-                        Err(f) => fault = f,
-                    }
-                }
-            }
-        };
+        let result = self.resolve_fault(&mut cx, &self.inner.hooks, first_fault);
         self.record_telemetry(cx.proc, &cx.args, entry_cycles, &result);
         let CallCx { args, scratch, .. } = cx;
         put_cx_bufs(args, scratch);
         result
+    }
+
+    /// Resolves a fault of the original: polls `hooks` in order for the
+    /// first decision that is not `Propagate`, re-runs the original on
+    /// `Retry` (each hook bounds its own retries by `attempt`), and
+    /// stops on `Propagate`, `Substitute` or an `Exit`. Entered only
+    /// after the original has faulted, so no accept path reaches it.
+    fn resolve_fault(
+        &self,
+        cx: &mut CallCx<'_>,
+        hooks: &[Arc<dyn Hook>],
+        mut fault: Fault,
+    ) -> Result<CVal, Fault> {
+        let mut attempt: u32 = 0;
+        loop {
+            let decision = hooks
+                .iter()
+                .map(|hook| hook.on_fault(cx, &fault, attempt))
+                .find(|d| !matches!(d, FaultDecision::Propagate))
+                .unwrap_or(FaultDecision::Propagate);
+            match decision {
+                FaultDecision::Propagate => return Err(fault),
+                FaultDecision::Substitute(v) => return Ok(v),
+                FaultDecision::Retry => {
+                    attempt += 1;
+                    match (self.inner.original)(cx.proc, &cx.args) {
+                        Ok(v) => return Ok(v),
+                        // Exit is the termination contract, not a fault
+                        // to heal — the exit-report hook depends on
+                        // seeing it.
+                        Err(f @ Fault::Exit(_)) => return Err(f),
+                        Err(f) => fault = f,
+                    }
+                }
+            }
+        }
     }
 
     /// The fully dynamic pipeline (any hook with per-call side effects).
@@ -945,39 +956,14 @@ impl WrappedFn {
         }
         let mut result = match early {
             Some(r) => r,
-            None => {
-                // Call the original; on a fault, poll the hooks that ran
-                // for a healing decision (bounded retries).
-                let mut attempt: u32 = 0;
-                loop {
-                    match (self.inner.original)(cx.proc, &cx.args) {
-                        Ok(v) => break Ok(v),
-                        // Exit is the termination contract, not a fault to
-                        // heal — the exit-report hook depends on seeing it.
-                        Err(f @ Fault::Exit(_)) => break Err(f),
-                        Err(f) => {
-                            let mut decision = FaultDecision::Propagate;
-                            for hook in self.inner.hooks[..ran].iter() {
-                                match hook.on_fault(&mut cx, &f, attempt) {
-                                    FaultDecision::Propagate => {}
-                                    d => {
-                                        decision = d;
-                                        break;
-                                    }
-                                }
-                            }
-                            match decision {
-                                FaultDecision::Propagate => break Err(f),
-                                FaultDecision::Retry => {
-                                    attempt += 1;
-                                    continue;
-                                }
-                                FaultDecision::Substitute(v) => break Ok(v),
-                            }
-                        }
-                    }
-                }
-            }
+            // Call the original; on a fault, poll the hooks that ran for
+            // a healing decision.
+            None => match (self.inner.original)(cx.proc, &cx.args) {
+                Ok(v) => Ok(v),
+                // Exit is the termination contract, not a fault to heal.
+                Err(f @ Fault::Exit(_)) => Err(f),
+                Err(f) => self.resolve_fault(&mut cx, &self.inner.hooks[..ran], f),
+            },
         };
         for hook in self.inner.hooks[..ran].iter().rev() {
             hook.after(&mut cx, &mut result);

@@ -15,7 +15,7 @@
 
 use healers::analyzer;
 use healers::injector::{
-    run_campaign, run_campaign_with_hints, targets_from_simlibc, CampaignConfig,
+    run_campaign, run_campaign_with, targets_from_simlibc, CampaignConfig, CampaignRun,
 };
 use healers::{process_factory, simlibc, Toolkit, WrapperConfig, WrapperKind};
 
@@ -43,8 +43,9 @@ fn main() {
     println!("== Step 2: ladder pre-seeding (pruned injection cases) ==\n");
     let hints = analyzer::ladder_hints(&base, &protos);
     let plain = run_campaign("libsimc.so.1", &targets, process_factory, &config);
+    let run = CampaignRun { hints: Some(&hints), ..CampaignRun::default() };
     let seeded =
-        run_campaign_with_hints("libsimc.so.1", &targets, process_factory, &config, &hints);
+        run_campaign_with("libsimc.so.1", &targets, process_factory, &config, &run);
     if seeded.api.to_xml() != plain.api.to_xml() {
         eprintln!("FAIL: contract-seeded campaign changed the robust-API verdicts");
         std::process::exit(1);

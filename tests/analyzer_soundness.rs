@@ -8,10 +8,11 @@ use std::sync::Arc;
 use healers::analyzer::{self, Fact, LintRule, PRESEED_THRESHOLD};
 use healers::guardian::{CanaryRegistry, GuardOracle};
 use healers::injector::{
-    run_campaign, run_campaign_with_hints, targets_from_simlibc, CampaignConfig, TargetFn,
+    run_campaign, run_campaign_with, targets_from_simlibc, CampaignConfig, CampaignResult,
+    CampaignRun, TargetFn,
 };
 use healers::simproc::CVal;
-use healers::typelattice::SafePred;
+use healers::typelattice::{LadderHints, SafePred};
 use healers::wrappergen::{Hook, HookOp, WrapperBuilder};
 use healers::{
     process_factory, simlibc, PolicyEngine, Toolkit, WrapperConfig, WrapperKind,
@@ -35,6 +36,15 @@ fn infer_subset() -> (Vec<TargetFn>, analyzer::ContractBase) {
     let protos: Vec<_> = targets.iter().map(|t| t.proto.clone()).collect();
     let base = analyzer::infer_contracts("libsimc.so.1", &protos, &simlibc::man_page);
     (targets, base)
+}
+
+fn seeded_campaign(
+    targets: &[TargetFn],
+    hints: &LadderHints,
+    config: &CampaignConfig,
+) -> CampaignResult {
+    let run = CampaignRun { hints: Some(hints), ..CampaignRun::default() };
+    run_campaign_with("libsimc.so.1", targets, process_factory, config, &run)
 }
 
 // ---- seeded-unsoundness fixtures ------------------------------------
@@ -156,8 +166,7 @@ fn seeded_campaign_keeps_verdicts_and_prunes_cases() {
 
     let config = quick_config();
     let plain = run_campaign("libsimc.so.1", &targets, process_factory, &config);
-    let seeded =
-        run_campaign_with_hints("libsimc.so.1", &targets, process_factory, &config, &hints);
+    let seeded = seeded_campaign(&targets, &hints, &config);
 
     assert_eq!(
         seeded.api.to_xml(),
@@ -185,13 +194,7 @@ fn generated_wrappers_have_no_findings() {
     let (targets, base) = infer_subset();
     let protos: Vec<_> = targets.iter().map(|t| t.proto.clone()).collect();
     let hints = analyzer::ladder_hints(&base, &protos);
-    let seeded = run_campaign_with_hints(
-        "libsimc.so.1",
-        &targets,
-        process_factory,
-        &quick_config(),
-        &hints,
-    );
+    let seeded = seeded_campaign(&targets, &hints, &quick_config());
     let toolkit = Toolkit::new();
     for kind in [
         WrapperKind::Robustness,
@@ -211,16 +214,9 @@ fn generated_wrappers_have_no_findings() {
 #[test]
 fn substitute_wrapper_is_proven_and_lint_clean() {
     let (targets, base) = infer_subset();
-    let seeded = run_campaign_with_hints(
-        "libsimc.so.1",
-        &targets,
-        process_factory,
-        &quick_config(),
-        &analyzer::ladder_hints(
-            &base,
-            &targets.iter().map(|t| t.proto.clone()).collect::<Vec<_>>(),
-        ),
-    );
+    let protos: Vec<_> = targets.iter().map(|t| t.proto.clone()).collect();
+    let seeded =
+        seeded_campaign(&targets, &analyzer::ladder_hints(&base, &protos), &quick_config());
     let toolkit = Toolkit::new();
     let security = toolkit.generate_wrapper(
         WrapperKind::Security,

@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use healers::injector::{
-    run_campaign, run_campaign_checkpointed, targets_from_simlibc, to_xml, CampaignConfig,
-    CheckpointJournal, Outcome, TargetFn,
+    run_campaign, run_campaign_with, targets_from_simlibc, to_xml, CampaignConfig,
+    CampaignResult, CampaignRun, CaseKey, CheckpointJournal, Outcome, TargetFn,
 };
 use healers::simproc::{CVal, Fault, Proc};
 use healers::{process_factory, Confidence, LowConfidence, WrapperConfig, WrapperKind};
@@ -21,6 +21,21 @@ fn slice(names: &[&str]) -> Vec<TargetFn> {
 
 fn config() -> CampaignConfig {
     CampaignConfig { pair_values: 4, fuel: 300_000, ..CampaignConfig::default() }
+}
+
+fn checkpointed(
+    library: &str,
+    targets: &[TargetFn],
+    config: &CampaignConfig,
+    journal: &CheckpointJournal,
+) -> CampaignResult {
+    let run = CampaignRun { journal: Some(journal), ..CampaignRun::default() };
+    run_campaign_with(library, targets, process_factory, config, &run)
+}
+
+/// The replayable identity of every recorded failure, in order.
+fn crash_list(result: &CampaignResult) -> Vec<(String, CaseKey, Outcome)> {
+    result.crashes.iter().map(|c| (c.func.clone(), c.key.clone(), c.outcome)).collect()
 }
 
 /// Acceptance scenario 1: a campaign killed partway through (simulated
@@ -39,13 +54,7 @@ fn interrupted_campaign_resumes_to_identical_result() {
     let resumed = loop {
         rounds += 1;
         assert!(rounds < 500, "campaign must converge");
-        let r = run_campaign_checkpointed(
-            "libsimc.so.1",
-            &targets,
-            process_factory,
-            &limited,
-            &journal,
-        );
+        let r = checkpointed("libsimc.so.1", &targets, &limited, &journal);
         if r.complete {
             break r;
         }
@@ -60,6 +69,74 @@ fn interrupted_campaign_resumes_to_identical_result() {
     for f in &resumed.api.functions {
         assert_eq!(f.confidence, Confidence::High, "{}", f.proto.name);
         assert_eq!(f.coverage, 1.0);
+    }
+}
+
+/// Checkpointing, contract hints and worker threads compose: a serial
+/// unhinted campaign cut short by its case budget, resumed on the same
+/// journal with hints and four threads, derives the uninterrupted serial
+/// unhinted run's robust API byte for byte. The hints change the reports
+/// and the crash list only by the cases they prune, exactly as in an
+/// uninterrupted serial run with the same hints.
+#[test]
+fn budget_cut_campaign_resumes_hinted_on_four_threads_to_the_serial_result() {
+    let targets = slice(&["strlen", "div", "isalpha"]);
+    let full = run_campaign("libsimc.so.1", &targets, process_factory, &config());
+    assert!(full.complete);
+    let mut hints = healers::typelattice::LadderHints::new();
+    hints.set("strlen", vec![3]);
+    let hinted = CampaignRun { hints: Some(&hints), ..CampaignRun::default() };
+    let full_hinted =
+        run_campaign_with("libsimc.so.1", &targets, process_factory, &config(), &hinted);
+
+    let journal = CheckpointJournal::new();
+    let limited = CampaignConfig { case_budget: Some(25), ..config() };
+    let cut = checkpointed("libsimc.so.1", &targets, &limited, &journal);
+    assert!(!cut.complete, "the budget must cut the first run short");
+    let resumed = run_campaign_with(
+        "libsimc.so.1",
+        &targets,
+        process_factory,
+        &config(),
+        &CampaignRun { journal: Some(&journal), threads: 4, ..hinted },
+    );
+    assert!(resumed.complete);
+    assert!(resumed.checkpoint_hits() > 0, "the resume must reuse the cut run's cases");
+    assert_eq!(resumed.worker_metrics.len(), 4);
+
+    assert_eq!(resumed.api.to_xml(), full.api.to_xml(), "same robust API");
+    assert_eq!(to_xml(&resumed), to_xml(&full_hinted), "same campaign XML");
+    assert_eq!(crash_list(&resumed), crash_list(&full_hinted), "same crash list");
+
+    // Against the unhinted run, the floor removes exactly strlen's cases
+    // below rung 3: every other report and crash is unchanged.
+    let pruned_rung = |func: &str, key: &CaseKey| {
+        func == "strlen" && matches!(key, CaseKey::Ladder { param: 0, rung_idx: 0..3, .. })
+    };
+    let mut unpruned = crash_list(&full);
+    unpruned.retain(|(func, key, _)| !pruned_rung(func, key));
+    assert_eq!(crash_list(&resumed), unpruned);
+    for (r, f) in resumed.reports.iter().zip(&full.reports) {
+        assert_eq!(r.name, f.name);
+        assert_eq!(
+            r.tests + r.pruned,
+            f.tests,
+            "{}: pruned cases account for the gap",
+            r.name
+        );
+        assert_eq!(
+            (r.residual_failures, r.fully_robust, r.confidence, r.coverage),
+            (f.residual_failures, f.fully_robust, f.confidence, f.coverage),
+            "{}",
+            r.name
+        );
+        let chosen = |rep: &healers::injector::FunctionReport| -> Vec<String> {
+            rep.params.iter().map(|p| p.chosen_name.clone()).collect()
+        };
+        assert_eq!(chosen(r), chosen(f), "{}", r.name);
+        if r.name != "strlen" {
+            assert_eq!(r.histogram, f.histogram, "{}", r.name);
+        }
     }
 }
 
@@ -159,13 +236,7 @@ fn circuit_breaker_contains_abnormal_sandbox_deaths() {
     let proto = healers::cdecl::parse_prototype("int boom(int x);", &table).unwrap();
     let targets = vec![TargetFn { name: "boom".into(), proto, imp: crashing_harness_imp }];
     let journal = CheckpointJournal::new();
-    let result = run_campaign_checkpointed(
-        "libboom.so.1",
-        &targets,
-        process_factory,
-        &config(),
-        &journal,
-    );
+    let result = checkpointed("libboom.so.1", &targets, &config(), &journal);
 
     let report = &result.reports[0];
     let host_bugs = report.histogram.get(&Outcome::HostBug).copied().unwrap_or(0);
