@@ -240,6 +240,7 @@ fn fleet_entry(s: &mut Session<'_>) -> Result<i32, Fault> {
 
 fn run_one_instance(
     api: &RobustApi,
+    system: &System,
     overrides: &PolicyOverrides,
     collector: &FleetCollector,
     instance: u64,
@@ -256,10 +257,9 @@ fn run_one_instance(
     let wrapper = build_wrapper(WrapperKind::Healing, api, &config);
     let mut loader = Loader::new();
     loader.preload(as_preload_library(&wrapper));
-    let system = System::standard();
     let exe =
         Executable::new(app, &["libsimc.so.1"], &["strcpy", "strlen", "exit"], fleet_entry);
-    let out = interpose::run_instance(&loader, &system, &exe, instance, window, seed)
+    let out = interpose::run_instance(&loader, system, &exe, instance, window, seed)
         .expect("fleet exe links");
     if let Err(fault) = &out.status {
         // The process died before its exit hook could ship: the fleet
@@ -288,12 +288,9 @@ fn run_one_instance(
 /// round's wrappers.
 pub fn run_fleet_sim(config: &FleetSimConfig) -> FleetSimOutcome {
     let api = fleet_api();
+    let system = System::standard();
     let mut supervisor = FleetSupervisor::new(
-        FleetConfig {
-            shards: config.shards,
-            queue_capacity: config.queue_capacity,
-            ..FleetConfig::default()
-        },
+        FleetConfig { shards: config.shards, queue_capacity: config.queue_capacity },
         DirectorConfig::default(),
     );
     let collector = supervisor.collector();
@@ -304,6 +301,7 @@ pub fn run_fleet_sim(config: &FleetSimConfig) -> FleetSimOutcome {
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let api = &api;
+                let system = &system;
                 let overrides = &overrides;
                 let collector = &collector;
                 scope.spawn(move || {
@@ -311,6 +309,7 @@ pub fn run_fleet_sim(config: &FleetSimConfig) -> FleetSimOutcome {
                     while instance < config.instances {
                         run_one_instance(
                             api,
+                            system,
                             overrides,
                             collector,
                             instance,

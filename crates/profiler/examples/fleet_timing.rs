@@ -1,7 +1,7 @@
 //! Fleet ingest throughput benchmark: documents per second through the
 //! sharded collection service at 1, 4 and 16 shards, submitted by 8
-//! concurrent threads with back-pressure resolved in place
-//! (`submit_until_accepted` under the default Retry policy).
+//! concurrent threads; a submitter finding its shard's queue full waits
+//! for room (`submit_until_accepted`).
 //!
 //! Each run asserts exact accounting — every submission acked, every
 //! ack merged — so the numbers measure the *correct* path, not a lossy
@@ -33,11 +33,7 @@ fn sample_doc(instance: u64) -> String {
 /// Thousands of documents per second ingested (submitted, parsed and
 /// merged) at the given shard count.
 fn bench(shards: usize, docs: &[String]) -> u64 {
-    let service = FleetService::start(FleetConfig {
-        shards,
-        queue_capacity: 256,
-        ..FleetConfig::default()
-    });
+    let service = FleetService::start(FleetConfig { shards, queue_capacity: 256 });
     let total = THREADS * DOCS_PER_THREAD;
     let t0 = Instant::now();
     std::thread::scope(|scope| {

@@ -4,29 +4,29 @@
 //! aggregation are the paper's.
 //!
 //! One service covers both scales. A plain central server is
-//! [`FleetConfig::central`] (one shard, blocking back-pressure); a fleet
-//! ingests through N shards behind **bounded** queues with explicit
-//! back-pressure. Either way documents are parsed and merged *while they
-//! arrive* (streaming rollups: top crashing functions fleet-wide,
-//! per-app health, per-window crash rates), and every document is
-//! accounted for exactly: a [`SubmitOutcome::Accepted`] ack is a
-//! guarantee of collection, and everything not accepted is counted on a
-//! named counter — nothing is silently lost.
+//! [`FleetConfig::central`] (one shard); a fleet ingests through N
+//! shards. Each shard's queue is **bounded**, and its back-pressure has
+//! one form: a submitter waits for room. Either way documents are
+//! parsed and merged *while they arrive* (streaming rollups: top
+//! crashing functions fleet-wide, per-app health, per-window crash
+//! rates), and every document is accounted for exactly: a `true` from
+//! [`FleetCollector::submit_until_accepted`] is a guarantee of
+//! collection, and a document refused at shutdown is counted on
+//! `shed_closed` — nothing is silently lost.
 //!
 //! Accounting invariant (checked by [`FleetAccounting::balanced`]):
-//! `accepted == merged + rejected`, and every non-accepted attempt is
-//! visible as `shed_full`, `shed_closed` or a retry signal.
+//! `accepted == merged + rejected`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::doc::parse_fleet_document;
 
 // ---------------------------------------------------------------------------
-// rejected-document samples and the shutdown handshake
+// rejected-document samples
 
 /// How many rejected documents the service keeps as a sample for
 /// diagnosis (the first K to arrive, with their parse-failure
@@ -58,111 +58,8 @@ impl RejectedSample {
     }
 }
 
-/// The Dekker-style shutdown handshake between submitters and
-/// [`FleetService::shutdown`]: a submitter publishes itself in
-/// `in_flight` *before* checking `closed`, while shutdown sets `closed`
-/// and then waits for `in_flight` to drain before the final queue drain.
-/// Both sides use `SeqCst`, so in the single total order either the
-/// submitter's increment precedes shutdown's store (and shutdown waits
-/// for the enqueue to land), or the submitter observes `closed` and
-/// refuses — a [`SubmitOutcome::Accepted`] ack is therefore a
-/// guarantee of collection.
-///
-/// The wait side spins only briefly before parking on a condvar: a
-/// preempted submitter must not pin the shutdown thread's core.
-#[derive(Debug, Default)]
-struct DrainGate {
-    closed: AtomicBool,
-    in_flight: AtomicU64,
-    lock: Mutex<()>,
-    drained: Condvar,
-}
-
-/// Rounds of `yield_now` before the shutdown waiter parks.
-const DRAIN_SPIN_ROUNDS: u32 = 64;
-
-/// Park timeout while waiting for in-flight submitters. The timeout
-/// (rather than a bare `wait`) closes the missed-wakeup race where the
-/// last submitter decrements and notifies between the waiter's check
-/// and its park.
-const DRAIN_PARK: Duration = Duration::from_millis(1);
-
-impl DrainGate {
-    fn new() -> Self {
-        DrainGate::default()
-    }
-
-    /// Submitter side: publish, then check. Returns `false` (after
-    /// un-publishing) when the gate is closed — the submission must be
-    /// refused. A `true` return obliges the caller to call
-    /// [`DrainGate::end_submit`] after its enqueue.
-    fn begin_submit(&self) -> bool {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.closed.load(Ordering::SeqCst) {
-            self.end_submit();
-            return false;
-        }
-        true
-    }
-
-    /// Submitter side: the enqueue landed (or was refused); un-publish
-    /// and wake a parked shutdown waiter if we were the last.
-    fn end_submit(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.closed.load(Ordering::SeqCst)
-        {
-            let _guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.drained.notify_all();
-        }
-    }
-
-    /// Shutdown side: close the door, then wait for every submitter
-    /// that already passed the `closed` check to finish its enqueue.
-    /// Bounded spin first (the common case drains in nanoseconds), then
-    /// parked waits so a preempted submitter cannot pin this core.
-    fn close_and_wait(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        for _ in 0..DRAIN_SPIN_ROUNDS {
-            if self.in_flight.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
-        while self.in_flight.load(Ordering::SeqCst) > 0 {
-            let (g, _timeout) = self
-                .drained
-                .wait_timeout(guard, DRAIN_PARK)
-                .unwrap_or_else(|p| p.into_inner());
-            guard = g;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// configuration and back-pressure vocabulary
-
-/// What a shard does with a submission when its queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Drop it (counted in `shed_full`) and tell the submitter so.
-    Shed,
-    /// Refuse it and hand the submitter a backoff hint; the document
-    /// stays with the submitter, nothing is queued or counted as lost.
-    Retry {
-        /// Suggested backoff before the next attempt, in microseconds.
-        backoff_micros: u64,
-    },
-    /// Block the submitter until the shard has room. No loss, no
-    /// retries — the submitter's thread absorbs the pressure.
-    Block,
-}
-
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        ShedPolicy::Retry { backoff_micros: 50 }
-    }
-}
+// configuration
 
 /// Fleet service configuration.
 #[derive(Debug, Clone)]
@@ -170,139 +67,23 @@ pub struct FleetConfig {
     /// Number of ingest shards (worker threads), each with its own
     /// bounded queue and rollup accumulator.
     pub shards: usize,
-    /// Per-shard queue capacity (documents).
+    /// Per-shard queue capacity (documents). A submitter finding its
+    /// shard full waits for room.
     pub queue_capacity: usize,
-    /// What to do when a shard's queue is full.
-    pub shed: ShedPolicy,
-    /// How many rejected documents each shard keeps as samples.
-    pub rejected_sample_cap: usize,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig {
-            shards: 4,
-            queue_capacity: 256,
-            shed: ShedPolicy::default(),
-            rejected_sample_cap: REJECTED_SAMPLE_CAP,
-        }
+        FleetConfig { shards: 4, queue_capacity: 256 }
     }
 }
 
 impl FleetConfig {
-    /// A plain central server (§2.3): one ingest shard, and submitters
-    /// block while its queue is full, so no document is ever shed.
+    /// A plain central server (§2.3): one ingest shard. Like every
+    /// service, it makes submitters wait while its queue is full, so no
+    /// document is ever shed before shutdown.
     pub fn central() -> Self {
-        FleetConfig { shards: 1, shed: ShedPolicy::Block, ..FleetConfig::default() }
-    }
-}
-
-/// The answer a submitter gets, immediately, for every attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// Queued. The document **will** appear in the rollup (merged or,
-    /// if malformed, counted rejected with a sample).
-    Accepted,
-    /// The shard is full and the policy is [`ShedPolicy::Retry`]: the
-    /// document was *not* queued; try again after the hinted backoff.
-    Retry {
-        /// Suggested backoff before the next attempt, in microseconds.
-        backoff_micros: u64,
-    },
-    /// The document was dropped: the shard was full under
-    /// [`ShedPolicy::Shed`] (counted in `shed_full`) or the service is
-    /// shutting down (counted in `shed_closed`).
-    Shed,
-}
-
-impl SubmitOutcome {
-    /// `true` for [`SubmitOutcome::Accepted`].
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, SubmitOutcome::Accepted)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// bounded MPSC queue
-
-#[derive(Debug)]
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A small bounded MPSC queue on `Mutex` + two condvars: `try_push` for
-/// shed/retry policies, blocking `push` for [`ShedPolicy::Block`], and
-/// a blocking `pop` that drains remaining items after close.
-#[derive(Debug)]
-struct BoundedQueue<T> {
-    cap: usize,
-    inner: Mutex<QueueInner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(cap: usize) -> Self {
-        BoundedQueue {
-            cap: cap.max(1),
-            inner: Mutex::new(QueueInner { items: VecDeque::new(), closed: false }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Non-blocking push; `Err` means full (or closed), nothing queued.
-    fn try_push(&self, value: T) -> Result<(), ()> {
-        let mut q = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if q.closed || q.items.len() >= self.cap {
-            return Err(());
-        }
-        q.items.push_back(value);
-        drop(q);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking push; waits for room. `false` if the queue closed while
-    /// waiting (nothing queued).
-    fn push(&self, value: T) -> bool {
-        let mut q = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        while !q.closed && q.items.len() >= self.cap {
-            q = self.not_full.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-        if q.closed {
-            return false;
-        }
-        q.items.push_back(value);
-        drop(q);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocking pop; `None` once the queue is closed *and* drained.
-    fn pop(&self) -> Option<T> {
-        let mut q = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(v) = q.items.pop_front() {
-                drop(q);
-                self.not_full.notify_one();
-                return Some(v);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.not_empty.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Closes the queue: pushes fail, pops drain what remains.
-    fn close(&self) {
-        let mut q = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        q.closed = true;
-        drop(q);
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
+        FleetConfig { shards: 1, ..FleetConfig::default() }
     }
 }
 
@@ -387,7 +168,7 @@ pub struct FleetRollup {
     /// Per-window activity, keyed by logical window number.
     pub windows: BTreeMap<u64, WindowStats>,
     /// Bounded sample of rejected documents (sorted for determinism,
-    /// capped at the configured sample cap).
+    /// capped at [`REJECTED_SAMPLE_CAP`]).
     pub rejected_samples: Vec<RejectedSample>,
 }
 
@@ -424,16 +205,16 @@ impl FleetRollup {
         }
     }
 
-    fn absorb_reject(&mut self, doc: &str, reason: &'static str, cap: usize) {
+    fn absorb_reject(&mut self, doc: &str, reason: &'static str) {
         self.rejected += 1;
-        if self.rejected_samples.len() < cap {
+        if self.rejected_samples.len() < REJECTED_SAMPLE_CAP {
             self.rejected_samples.push(RejectedSample::of(doc, reason));
         }
     }
 
     /// Merges another rollup in (commutative: shard accumulators can be
     /// merged in any order).
-    pub fn merge(&mut self, other: &FleetRollup, sample_cap: usize) {
+    pub fn merge(&mut self, other: &FleetRollup) {
         self.docs += other.docs;
         self.crash_docs += other.crash_docs;
         self.rejected += other.rejected;
@@ -467,7 +248,7 @@ impl FleetRollup {
         // sample keeps the merged rollup deterministic.
         self.rejected_samples
             .sort_by(|a, b| (a.reason, &a.snippet).cmp(&(b.reason, &b.snippet)));
-        self.rejected_samples.truncate(sample_cap);
+        self.rejected_samples.truncate(REJECTED_SAMPLE_CAP);
     }
 
     /// The top-N crashing functions fleet-wide: most crashes first,
@@ -483,21 +264,9 @@ impl FleetRollup {
 // ---------------------------------------------------------------------------
 // exact accounting
 
-/// Per-shard ingest counters, all monotone.
-#[derive(Debug, Default)]
-struct ShardCounters {
-    accepted: AtomicU64,
-    merged: AtomicU64,
-    rejected: AtomicU64,
-    shed_full: AtomicU64,
-}
-
 /// The service's exact accounting, snapshot at shutdown (or live).
-/// Every submission attempt lands on exactly one of: `accepted`
-/// (thence `merged` or `rejected`), `shed_full`, `shed_closed` — or it
-/// got a [`SubmitOutcome::Retry`] signal and stayed with the submitter
-/// (`retry_signals`, a transient pressure gauge rather than a loss
-/// counter).
+/// Every submission lands on exactly one of: `accepted` (thence
+/// `merged` or `rejected`) or `shed_closed`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetAccounting {
     /// Acked (queued) submissions, per shard.
@@ -506,12 +275,15 @@ pub struct FleetAccounting {
     pub merged_per_shard: Vec<u64>,
     /// Documents that failed to parse, per shard.
     pub rejected_per_shard: Vec<u64>,
-    /// Documents dropped because a shard was full (Shed policy only).
+    /// Documents dropped because a shard was full, per shard. Always 0:
+    /// a submitter waits for room instead. Kept so the fleet report's
+    /// `shed-full` column still renders.
     pub shed_full_per_shard: Vec<u64>,
-    /// Submissions refused because the service was shutting down.
+    /// Submissions refused because the service was shutting down,
+    /// including submitters still waiting on a full shard at that point.
     pub shed_closed: u64,
-    /// Retry back-pressure signals handed out (documents *not* queued
-    /// and *not* lost — they stayed with the submitter).
+    /// Retry back-pressure signals handed out. Always 0: no submission
+    /// is ever told to retry.
     pub retry_signals: u64,
 }
 
@@ -531,7 +303,7 @@ impl FleetAccounting {
         self.rejected_per_shard.iter().sum()
     }
 
-    /// Total queue-full drops.
+    /// Total queue-full drops (always 0).
     pub fn shed_full(&self) -> u64 {
         self.shed_full_per_shard.iter().sum()
     }
@@ -551,136 +323,132 @@ impl FleetAccounting {
 // ---------------------------------------------------------------------------
 // the service
 
-#[derive(Debug)]
+/// A shard's queue state, all behind one mutex. `accepted` is counted
+/// under it, and shutdown sets `closed` under it, so every push that
+/// took the lock before the close is drained by the shard's worker.
+#[derive(Debug, Default)]
+struct ShardQueue {
+    items: VecDeque<String>,
+    closed: bool,
+    accepted: u64,
+}
+
+/// One ingest shard: a bounded queue, the worker's counters and the
+/// shard-local rollup.
+#[derive(Debug, Default)]
 struct Shard {
-    queue: BoundedQueue<String>,
-    counters: ShardCounters,
+    queue: Mutex<ShardQueue>,
+    not_full: Condvar,
+    not_empty: Condvar,
+    merged: AtomicU64,
+    rejected: AtomicU64,
     accum: Mutex<FleetRollup>,
+}
+
+impl Shard {
+    fn lock_queue(&self) -> MutexGuard<'_, ShardQueue> {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The worker loop: take every queued document at once, wake the
+    /// submitters waiting for room, then parse the batch and merge it
+    /// into the shard-local rollup outside the queue lock. Returns once
+    /// the queue is closed *and* drained.
+    fn ingest(&self) {
+        let mut batch = VecDeque::new();
+        loop {
+            let mut q = self.lock_queue();
+            while q.items.is_empty() && !q.closed {
+                q = self.not_empty.wait(q).unwrap_or_else(|p| p.into_inner());
+            }
+            if q.items.is_empty() {
+                return;
+            }
+            std::mem::swap(&mut q.items, &mut batch);
+            drop(q);
+            self.not_full.notify_all();
+            let mut accum = self.accum.lock().unwrap_or_else(|p| p.into_inner());
+            for doc in batch.drain(..) {
+                match parse_fleet_document(&doc) {
+                    Ok(parsed) => {
+                        accum.absorb_doc(&parsed);
+                        self.merged.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(reason) => {
+                        accum.absorb_reject(&doc, reason);
+                        self.rejected.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Closes the queue: waiting and later submitters are refused, the
+    /// worker drains what remains and exits.
+    fn close(&self) {
+        self.lock_queue().closed = true;
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
+    }
+}
+
+/// The ingest state a [`FleetService`] and its collectors share.
+#[derive(Debug)]
+struct Ingest {
+    shards: Vec<Shard>,
+    queue_capacity: usize,
+    rr: AtomicUsize,
+    shed_closed: AtomicU64,
 }
 
 /// Handle for submitting documents to a running [`FleetService`].
 /// Clones are cheap; submitters on any thread share the shards.
 #[derive(Debug, Clone)]
 pub struct FleetCollector {
-    shards: Arc<Vec<Arc<Shard>>>,
-    gate: Arc<DrainGate>,
-    shed_closed: Arc<AtomicU64>,
-    retry_signals: Arc<AtomicU64>,
-    rr: Arc<AtomicUsize>,
-    shed: ShedPolicy,
+    ingest: Arc<Ingest>,
 }
 
 impl FleetCollector {
-    fn route(&self) -> &Shard {
-        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        &self.shards[i]
-    }
-
-    /// One submission attempt. The outcome is exact:
-    /// [`SubmitOutcome::Accepted`] guarantees the document reaches the
-    /// rollup; anything else guarantees it did not (and says whether it
-    /// was dropped-and-counted or stayed with the caller).
-    pub fn submit(&self, document: &str) -> SubmitOutcome {
-        if !self.gate.begin_submit() {
-            self.shed_closed.fetch_add(1, Ordering::SeqCst);
-            return SubmitOutcome::Shed;
-        }
-        let shard = self.route();
-        let outcome = match shard.queue.try_push(document.to_string()) {
-            Ok(()) => {
-                shard.counters.accepted.fetch_add(1, Ordering::SeqCst);
-                SubmitOutcome::Accepted
-            }
-            Err(()) => match self.shed {
-                ShedPolicy::Shed => {
-                    shard.counters.shed_full.fetch_add(1, Ordering::SeqCst);
-                    SubmitOutcome::Shed
-                }
-                ShedPolicy::Retry { backoff_micros } => {
-                    self.retry_signals.fetch_add(1, Ordering::SeqCst);
-                    SubmitOutcome::Retry { backoff_micros }
-                }
-                ShedPolicy::Block => {
-                    // Safe against shutdown deadlock: the gate holds
-                    // `in_flight` > 0 for the whole wait, so shard
-                    // workers keep draining until we are through.
-                    if shard.queue.push(document.to_string()) {
-                        shard.counters.accepted.fetch_add(1, Ordering::SeqCst);
-                        SubmitOutcome::Accepted
-                    } else {
-                        self.shed_closed.fetch_add(1, Ordering::SeqCst);
-                        SubmitOutcome::Shed
-                    }
-                }
-            },
-        };
-        self.gate.end_submit();
-        outcome
-    }
-
-    /// Submits with the policy's back-pressure resolved in place: retry
-    /// signals are honoured with a capped exponential backoff plus
-    /// deterministic, seeded jitter (so a storm of retrying submitters
-    /// de-synchronises without any wall-clock or RNG dependency) until
-    /// the document is accepted or definitively shed. Returns `true`
-    /// only for an accepted (and therefore collected) document.
+    /// Submits `document` to the next shard in round-robin order,
+    /// waiting while that shard is full. Returns `true` once the
+    /// document is queued, which guarantees it reaches the rollup, and
+    /// `false` if the service closed first (counted in `shed_closed`).
     pub fn submit_until_accepted(&self, document: &str) -> bool {
-        let salt = document.len() as u64;
-        let mut attempt = 0u32;
-        loop {
-            match self.submit(document) {
-                SubmitOutcome::Accepted => return true,
-                SubmitOutcome::Shed => return false,
-                SubmitOutcome::Retry { backoff_micros } => {
-                    if backoff_micros == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        let micros = retry_backoff_micros(backoff_micros, attempt, salt);
-                        std::thread::sleep(Duration::from_micros(micros));
-                    }
-                    attempt = attempt.saturating_add(1);
-                }
-            }
+        let ingest = &*self.ingest;
+        let i = ingest.rr.fetch_add(1, Ordering::Relaxed) % ingest.shards.len();
+        let shard = &ingest.shards[i];
+        let doc = document.to_string();
+        let mut q = shard.lock_queue();
+        while !q.closed && q.items.len() >= ingest.queue_capacity {
+            q = shard.not_full.wait(q).unwrap_or_else(|p| p.into_inner());
         }
+        if q.closed {
+            drop(q);
+            ingest.shed_closed.fetch_add(1, Ordering::SeqCst);
+            return false;
+        }
+        q.items.push_back(doc);
+        q.accepted += 1;
+        // The worker waits only on an empty queue: only the push that
+        // ends the emptiness has anyone to wake.
+        let wake = q.items.len() == 1;
+        drop(q);
+        if wake {
+            shard.not_empty.notify_one();
+        }
+        true
     }
-}
-
-/// Maximum sleep between retry attempts, in microseconds. The hinted
-/// backoff doubles each attempt up to this cap; the jitter never pushes
-/// the total past it.
-const RETRY_BACKOFF_CAP_MICROS: u64 = 500;
-
-/// The backoff schedule for [`FleetCollector::submit_until_accepted`]:
-/// the policy's `hint` doubled per `attempt`, capped at
-/// [`RETRY_BACKOFF_CAP_MICROS`], plus deterministic jitter derived from
-/// `(salt, attempt)` by a splitmix64 finalizer — same inputs, same
-/// delay, every run — spanning up to half the exponential term so
-/// synchronized retry storms spread out.
-fn retry_backoff_micros(hint: u64, attempt: u32, salt: u64) -> u64 {
-    let hint = hint.max(1);
-    let exp = hint.saturating_mul(1u64 << attempt.min(9)).min(RETRY_BACKOFF_CAP_MICROS);
-    let mut z = salt ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (exp + z % (exp / 2 + 1)).min(RETRY_BACKOFF_CAP_MICROS)
 }
 
 /// The sharded, back-pressured fleet collection service. Construction
 /// spawns one worker thread per shard; each worker parses submissions
 /// off its bounded queue and merges them into its shard-local rollup as
 /// they arrive (streaming, not post-shutdown). [`FleetService::shutdown`]
-/// closes the submission gate, waits for in-flight submitters, drains
-/// every queue, and returns the merged rollup with exact accounting.
+/// closes every queue, lets the workers drain them, and returns the
+/// merged rollup with exact accounting.
 #[derive(Debug)]
 pub struct FleetService {
-    shards: Arc<Vec<Arc<Shard>>>,
-    gate: Arc<DrainGate>,
-    shed_closed: Arc<AtomicU64>,
-    retry_signals: Arc<AtomicU64>,
-    rr: Arc<AtomicUsize>,
-    shed: ShedPolicy,
-    sample_cap: usize,
+    ingest: Arc<Ingest>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -696,62 +464,24 @@ pub struct FleetGathered {
 impl FleetService {
     /// Starts the service with `config`.
     pub fn start(config: FleetConfig) -> Self {
-        let shards: Vec<Arc<Shard>> = (0..config.shards.max(1))
-            .map(|_| {
-                Arc::new(Shard {
-                    queue: BoundedQueue::new(config.queue_capacity),
-                    counters: ShardCounters::default(),
-                    accum: Mutex::new(FleetRollup::default()),
-                })
+        let ingest = Arc::new(Ingest {
+            shards: (0..config.shards.max(1)).map(|_| Shard::default()).collect(),
+            queue_capacity: config.queue_capacity.max(1),
+            rr: AtomicUsize::new(0),
+            shed_closed: AtomicU64::new(0),
+        });
+        let workers = (0..ingest.shards.len())
+            .map(|i| {
+                let ingest = Arc::clone(&ingest);
+                std::thread::spawn(move || ingest.shards[i].ingest())
             })
             .collect();
-        let sample_cap = config.rejected_sample_cap;
-        let workers = shards
-            .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
-                std::thread::spawn(move || {
-                    while let Some(doc) = shard.queue.pop() {
-                        let mut accum =
-                            shard.accum.lock().unwrap_or_else(|p| p.into_inner());
-                        match parse_fleet_document(&doc) {
-                            Ok(parsed) => {
-                                accum.absorb_doc(&parsed);
-                                drop(accum);
-                                shard.counters.merged.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(reason) => {
-                                accum.absorb_reject(&doc, reason, sample_cap);
-                                drop(accum);
-                                shard.counters.rejected.fetch_add(1, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        FleetService {
-            shards: Arc::new(shards),
-            gate: Arc::new(DrainGate::new()),
-            shed_closed: Arc::new(AtomicU64::new(0)),
-            retry_signals: Arc::new(AtomicU64::new(0)),
-            rr: Arc::new(AtomicUsize::new(0)),
-            shed: config.shed,
-            sample_cap,
-            workers,
-        }
+        FleetService { ingest, workers }
     }
 
     /// A handle submitters use.
     pub fn collector(&self) -> FleetCollector {
-        FleetCollector {
-            shards: Arc::clone(&self.shards),
-            gate: Arc::clone(&self.gate),
-            shed_closed: Arc::clone(&self.shed_closed),
-            retry_signals: Arc::clone(&self.retry_signals),
-            rr: Arc::clone(&self.rr),
-            shed: self.shed,
-        }
+        FleetCollector { ingest: Arc::clone(&self.ingest) }
     }
 
     /// Waits until every accepted document has been merged (or
@@ -760,20 +490,8 @@ impl FleetService {
     /// reading [`FleetService::rollup_snapshot`].
     pub fn quiesce(&self) {
         loop {
-            let accepted: u64 = self
-                .shards
-                .iter()
-                .map(|s| s.counters.accepted.load(Ordering::SeqCst))
-                .sum();
-            let done: u64 = self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.counters.merged.load(Ordering::SeqCst)
-                        + s.counters.rejected.load(Ordering::SeqCst)
-                })
-                .sum();
-            if done >= accepted {
+            let a = self.accounting();
+            if a.merged() + a.rejected() >= a.accepted() {
                 return;
             }
             std::thread::sleep(Duration::from_micros(100));
@@ -785,38 +503,28 @@ impl FleetService {
     /// a sealed view.
     pub fn rollup_snapshot(&self) -> FleetRollup {
         let mut out = FleetRollup::default();
-        for shard in self.shards.iter() {
-            let accum = shard.accum.lock().unwrap_or_else(|p| p.into_inner());
-            out.merge(&accum, self.sample_cap);
+        for shard in &self.ingest.shards {
+            out.merge(&shard.accum.lock().unwrap_or_else(|p| p.into_inner()));
         }
         out
     }
 
     /// The live accounting counters.
     pub fn accounting(&self) -> FleetAccounting {
+        let shards = &self.ingest.shards;
         FleetAccounting {
-            accepted_per_shard: self
-                .shards
+            accepted_per_shard: shards.iter().map(|s| s.lock_queue().accepted).collect(),
+            merged_per_shard: shards
                 .iter()
-                .map(|s| s.counters.accepted.load(Ordering::SeqCst))
+                .map(|s| s.merged.load(Ordering::SeqCst))
                 .collect(),
-            merged_per_shard: self
-                .shards
+            rejected_per_shard: shards
                 .iter()
-                .map(|s| s.counters.merged.load(Ordering::SeqCst))
+                .map(|s| s.rejected.load(Ordering::SeqCst))
                 .collect(),
-            rejected_per_shard: self
-                .shards
-                .iter()
-                .map(|s| s.counters.rejected.load(Ordering::SeqCst))
-                .collect(),
-            shed_full_per_shard: self
-                .shards
-                .iter()
-                .map(|s| s.counters.shed_full.load(Ordering::SeqCst))
-                .collect(),
-            shed_closed: self.shed_closed.load(Ordering::SeqCst),
-            retry_signals: self.retry_signals.load(Ordering::SeqCst),
+            shed_full_per_shard: vec![0; shards.len()],
+            shed_closed: self.ingest.shed_closed.load(Ordering::SeqCst),
+            retry_signals: 0,
         }
     }
 
@@ -828,13 +536,8 @@ impl FleetService {
     }
 
     fn close_and_join(&mut self) {
-        // Order matters: close the gate and wait for in-flight
-        // submitters first (blocked `push`es complete because the
-        // workers are still popping), only then close the queues so the
-        // workers drain what remains and exit.
-        self.gate.close_and_wait();
-        for shard in self.shards.iter() {
-            shard.queue.close();
+        for shard in &self.ingest.shards {
+            shard.close();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -872,7 +575,7 @@ mod tests {
         let service = FleetService::start(FleetConfig::default());
         let c = service.collector();
         for i in 0..10 {
-            assert!(c.submit(&doc("editor", i, i / 4, i % 3 == 0)).is_accepted());
+            assert!(c.submit_until_accepted(&doc("editor", i, i / 4, i % 3 == 0)));
         }
         let out = service.shutdown();
         assert_eq!(out.rollup.docs, 10);
@@ -889,9 +592,9 @@ mod tests {
     fn malformed_documents_are_rejected_with_samples() {
         let service = FleetService::start(FleetConfig::default());
         let c = service.collector();
-        assert!(c.submit("not xml").is_accepted(), "accepted into the queue");
-        assert!(c.submit("<healers-profile foo=\"1\">").is_accepted());
-        assert!(c.submit(&doc("ok", 1, 0, false)).is_accepted());
+        assert!(c.submit_until_accepted("not xml"), "accepted into the queue");
+        assert!(c.submit_until_accepted("<healers-profile foo=\"1\">"));
+        assert!(c.submit_until_accepted(&doc("ok", 1, 0, false)));
         let out = service.shutdown();
         assert_eq!(out.rollup.docs, 1);
         assert_eq!(out.rollup.rejected, 2);
@@ -904,92 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_sheds_and_counts_exactly() {
-        let service = FleetService::start(FleetConfig {
-            shards: 1,
-            queue_capacity: 4,
-            shed: ShedPolicy::Shed,
-            ..FleetConfig::default()
-        });
-        let c = service.collector();
-        let d = doc("app", 0, 0, false);
-        let mut accepted = 0u64;
-        let mut shed = 0u64;
-        // Far more than capacity: some are shed while the worker drains.
-        for _ in 0..5_000 {
-            match c.submit(&d) {
-                SubmitOutcome::Accepted => accepted += 1,
-                SubmitOutcome::Shed => shed += 1,
-                SubmitOutcome::Retry { .. } => unreachable!("policy is Shed"),
-            }
-        }
-        let out = service.shutdown();
-        assert_eq!(out.accounting.accepted(), accepted);
-        assert_eq!(out.accounting.shed_full() + out.accounting.shed_closed, shed);
-        assert_eq!(out.rollup.docs, accepted);
-        assert!(out.accounting.balanced());
-    }
-
-    #[test]
-    fn retry_signals_leave_the_document_with_the_caller() {
-        let service = FleetService::start(FleetConfig {
-            shards: 1,
-            queue_capacity: 2,
-            shed: ShedPolicy::Retry { backoff_micros: 10 },
-            ..FleetConfig::default()
-        });
-        let c = service.collector();
-        let d = doc("app", 0, 0, false);
-        let mut accepted = 0u64;
-        for _ in 0..200 {
-            if c.submit_until_accepted(&d) {
-                accepted += 1;
-            }
-        }
-        assert_eq!(accepted, 200, "retry resolves to acceptance, never loss");
-        let out = service.shutdown();
-        assert_eq!(out.accounting.accepted(), 200);
-        assert_eq!(out.accounting.shed_total(), 0);
-        assert_eq!(out.rollup.docs, 200);
-        assert!(out.accounting.balanced());
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential_and_deterministic() {
-        // Deterministic: same (hint, attempt, salt) → same delay.
-        for attempt in 0..12 {
-            assert_eq!(
-                retry_backoff_micros(10, attempt, 42),
-                retry_backoff_micros(10, attempt, 42)
-            );
-        }
-        // Capped: never exceeds the ceiling, whatever the inputs.
-        for attempt in 0..64 {
-            for salt in [0u64, 1, 97, u64::MAX] {
-                assert!(retry_backoff_micros(50, attempt, salt) <= 500);
-                assert!(retry_backoff_micros(u64::MAX, attempt, salt) <= 500);
-            }
-        }
-        // Exponential: the un-jittered floor doubles until the cap.
-        assert!(retry_backoff_micros(10, 4, 0) >= 10 * 16 - 1);
-        assert!(retry_backoff_micros(10, 0, 7) >= 10);
-        // Jitter spreads distinct salts at the same attempt.
-        let delays: std::collections::BTreeSet<u64> =
-            (0..32u64).map(|salt| retry_backoff_micros(10, 1, salt)).collect();
-        assert!(delays.len() > 4, "jitter must spread submitters: {delays:?}");
-        // A zero hint is treated as the minimum granularity, not a
-        // divide-by-zero or a busy spin.
-        assert!(retry_backoff_micros(0, 0, 0) >= 1);
-    }
-
-    #[test]
-    fn block_policy_never_loses_or_sheds() {
-        let service = FleetService::start(FleetConfig {
-            shards: 2,
-            queue_capacity: 2,
-            shed: ShedPolicy::Block,
-            ..FleetConfig::default()
-        });
+    fn waiting_submitters_never_lose_or_shed() {
+        let service = FleetService::start(FleetConfig { shards: 2, queue_capacity: 2 });
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let c = service.collector();
@@ -997,7 +616,7 @@ mod tests {
                     let d = doc("app", t, 0, false);
                     let mut accepted = 0u64;
                     for _ in 0..100 {
-                        if c.submit(&d).is_accepted() {
+                        if c.submit_until_accepted(&d) {
                             accepted += 1;
                         }
                     }
@@ -1017,11 +636,39 @@ mod tests {
     fn submissions_after_shutdown_are_counted_shed_closed() {
         let service = FleetService::start(FleetConfig::default());
         let c = service.collector();
-        assert!(c.submit(&doc("app", 0, 0, false)).is_accepted());
+        assert!(c.submit_until_accepted(&doc("app", 0, 0, false)));
         let out = service.shutdown();
         assert_eq!(out.rollup.docs, 1);
-        assert_eq!(c.submit("late"), SubmitOutcome::Shed);
         assert!(!c.submit_until_accepted("late"));
+        assert_eq!(c.ingest.shed_closed.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_submitter_waiting_at_shutdown_is_refused_and_counted() {
+        // One shard of capacity 1 whose worker is held mid-batch: the
+        // first document is taken, the second fills the queue, the third
+        // waits for room. Closing the shard refuses the waiter; the two
+        // acked documents are still collected.
+        let service = FleetService::start(FleetConfig { shards: 1, queue_capacity: 1 });
+        let shard = &service.ingest.shards[0];
+        let held = shard.accum.lock().unwrap();
+        let c = service.collector();
+        let submitter = std::thread::spawn(move || {
+            (0..3)
+                .map(|i| c.submit_until_accepted(&doc("app", i, 0, false)))
+                .collect::<Vec<_>>()
+        });
+        while service.accounting().accepted() < 2 {
+            std::thread::yield_now();
+        }
+        shard.close();
+        drop(held);
+        assert_eq!(submitter.join().unwrap(), [true, true, false]);
+        let out = service.shutdown();
+        assert_eq!(out.accounting.accepted(), 2);
+        assert_eq!(out.accounting.shed_closed, 1);
+        assert_eq!(out.rollup.docs, 2);
+        assert!(out.accounting.balanced(), "{:?}", out.accounting);
     }
 
     #[test]
@@ -1039,7 +686,7 @@ mod tests {
             fault: Some("segv".into()),
         };
         let d = to_xml_for_fleet("r&d", "healing", &meta, &stats.snapshot(), None);
-        assert!(c.submit(&d).is_accepted());
+        assert!(c.submit_until_accepted(&d));
         let out = service.shutdown();
         let apps: Vec<_> = out.rollup.per_app.keys().map(String::as_str).collect();
         assert_eq!(apps, ["r&d"]);
@@ -1051,56 +698,60 @@ mod tests {
 
     #[test]
     fn every_acked_submission_is_collected() {
-        // The shutdown race: a submit could observe `closed == false`,
+        // The shutdown race: a submitter could pass the `closed` check,
         // the service could then drain and exit, and the enqueue still
         // "succeed" into a queue nobody reads — an ack for a silently
         // dropped document. Race submitters against shutdown and assert
         // that every ack is accounted for, every round, with one shard
-        // (the central server) and with several.
+        // (the central server) and with several, and with a queue of one
+        // so that submitters are waiting for room when shutdown lands.
         use std::sync::atomic::AtomicUsize;
         for shards in [1, 4] {
-            for round in 0..50 {
-                let service = FleetService::start(FleetConfig {
-                    shards,
-                    shed: ShedPolicy::Block,
-                    ..FleetConfig::default()
-                });
-                let acked = Arc::new(AtomicUsize::new(0));
-                let submitters: Vec<_> = (0..4)
-                    .map(|t| {
-                        let c = service.collector();
-                        let acked = Arc::clone(&acked);
-                        std::thread::spawn(move || {
-                            for i in 0..20 {
-                                if !c
-                                    .submit(&doc(&format!("app-{t}"), i, 0, false))
-                                    .is_accepted()
-                                {
-                                    // Once the service refuses, it stays shut.
-                                    return;
+            for queue_capacity in [1, 256] {
+                for round in 0..50 {
+                    let service =
+                        FleetService::start(FleetConfig { shards, queue_capacity });
+                    let acked = Arc::new(AtomicUsize::new(0));
+                    let submitters: Vec<_> = (0..4)
+                        .map(|t| {
+                            let c = service.collector();
+                            let acked = Arc::clone(&acked);
+                            std::thread::spawn(move || {
+                                for i in 0..20 {
+                                    let d = doc(&format!("app-{t}"), i, 0, false);
+                                    if !c.submit_until_accepted(&d) {
+                                        // Once the service refuses, it stays shut.
+                                        return;
+                                    }
+                                    acked.fetch_add(1, Ordering::SeqCst);
+                                    std::thread::yield_now();
                                 }
-                                acked.fetch_add(1, Ordering::SeqCst);
-                                std::thread::yield_now();
-                            }
+                            })
                         })
-                    })
-                    .collect();
-                // Shut down somewhere in the middle of the submission storm.
-                if round % 2 == 0 {
-                    std::thread::yield_now();
+                        .collect();
+                    // Shut down somewhere in the middle of the submission storm.
+                    if round % 2 == 0 {
+                        std::thread::yield_now();
+                    }
+                    let out = service.shutdown();
+                    // Every submitter returns: none is left waiting on a
+                    // closed shard.
+                    for t in submitters {
+                        t.join().unwrap();
+                    }
+                    let acked = acked.load(Ordering::SeqCst) as u64;
+                    let at = format!(
+                        "{shards} shards, capacity {queue_capacity}, round {round}"
+                    );
+                    assert_eq!(
+                        acked,
+                        out.accounting.merged() + out.accounting.rejected(),
+                        "{at}: every acked submission is collected"
+                    );
+                    assert_eq!(acked, out.rollup.docs + out.rollup.rejected, "{at}");
+                    assert_eq!(out.accounting.accepted(), acked, "{at}");
+                    assert!(out.accounting.balanced(), "{at}: {:?}", out.accounting);
                 }
-                let out = service.shutdown();
-                for t in submitters {
-                    t.join().unwrap();
-                }
-                let acked = acked.load(Ordering::SeqCst) as u64;
-                assert_eq!(
-                    acked,
-                    out.rollup.docs + out.rollup.rejected,
-                    "{shards} shards, round {round}: every acked submission is collected"
-                );
-                assert_eq!(out.accounting.accepted(), acked);
-                assert!(out.accounting.balanced(), "{:?}", out.accounting);
             }
         }
     }
@@ -1108,11 +759,8 @@ mod tests {
     #[test]
     fn rollup_is_deterministic_across_shard_interleavings() {
         let run = |shards: usize| {
-            let service = FleetService::start(FleetConfig {
-                shards,
-                shed: ShedPolicy::Block,
-                ..FleetConfig::default()
-            });
+            let service =
+                FleetService::start(FleetConfig { shards, ..FleetConfig::default() });
             let threads: Vec<_> = (0..4)
                 .map(|t| {
                     let c = service.collector();

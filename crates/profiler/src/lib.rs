@@ -17,10 +17,10 @@
 //!   healing, flight-recorder and oblivious sections the journal's views
 //!   render;
 //! * [`FleetService`] — the central collection service receiving those
-//!   documents from many processes: one shard with blocking
-//!   back-pressure ([`FleetConfig::central`]) for a plain central
-//!   server, N bounded shards for a fleet, with streaming rollups and
-//!   exact shed accounting either way;
+//!   documents from many processes: one shard
+//!   ([`FleetConfig::central`]) for a plain central server, N shards for
+//!   a fleet, each behind a bounded queue whose submitters wait for
+//!   room, with streaming rollups and exact accounting either way;
 //! * [`Director`] — closed-loop remediation: per-function crash-rate
 //!   anomaly detection over windowed rollups, escalation with rollback
 //!   and a circuit breaker, every decision journaled;
@@ -53,8 +53,8 @@ pub use doc::{
 };
 pub use fleet::{
     AppHealth, FleetAccounting, FleetCollector, FleetConfig, FleetGathered, FleetRollup,
-    FleetService, FuncRollup, RejectedSample, ShedPolicy, SubmitOutcome, WindowFunc,
-    WindowStats, REJECTED_SAMPLE_CAP, REJECTED_SNIPPET_LEN,
+    FleetService, FuncRollup, RejectedSample, WindowFunc, WindowStats, REJECTED_SAMPLE_CAP,
+    REJECTED_SNIPPET_LEN,
 };
 pub use journal::{
     Absorption, FlightRecord, HealAction, HealEvent, ManufacturedRead, ObliviousSnapshot,

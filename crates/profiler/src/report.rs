@@ -476,9 +476,9 @@ pub fn render_fault_report(app: &str, fault: &str, tail: &[FlightRecord]) -> Str
 /// Renders the fleet rollup report: top crashing functions fleet-wide,
 /// per-application health, per-window crash rates, ingest accounting
 /// and the bounded rejected-document sample. Every section iterates
-/// sorted maps and the timing-dependent `retry_signals` gauge is
-/// deliberately omitted, so two same-seed fleet runs render
-/// byte-identically.
+/// sorted maps, so two same-seed fleet runs render byte-identically.
+/// The `shed-full` column always reads 0, since submitters wait on a
+/// full shard; it stays so the report keeps its layout.
 pub fn render_fleet_report(
     rollup: &crate::fleet::FleetRollup,
     accounting: &crate::fleet::FleetAccounting,

@@ -147,6 +147,9 @@ pub struct Proc {
     stack_top: VirtAddr,
     data_cursor: VirtAddr,
     rodata_cursor: VirtAddr,
+    /// The one empty C string [`Proc::empty_cstr`] hands out, placed in
+    /// the data segment on first use.
+    empty_cstr: Option<VirtAddr>,
     exit_status: Option<i32>,
     next_sentinel: u64,
     fleet_identity: Option<(u64, u64, u64)>,
@@ -199,6 +202,7 @@ impl Proc {
             stack_top: layout::STACK_TOP,
             data_cursor: layout::DATA_CURSOR_START,
             rodata_cursor: layout::RODATA_BASE,
+            empty_cstr: None,
             exit_status: None,
             next_sentinel: 0x5AFE_0000_0000_0000,
             fleet_identity: None,
@@ -545,6 +549,25 @@ impl Proc {
         let mut bytes = s.as_bytes().to_vec();
         bytes.push(0);
         self.alloc_data(&bytes)
+    }
+
+    /// The process's one manufactured empty C string. The first call
+    /// places it in the data segment; every later call returns the same
+    /// address, its NUL byte rewritten in case a caller stored through
+    /// it. A caller that fabricates empty strings on every call thus
+    /// uses one data-segment slot, however often it runs.
+    pub fn empty_cstr(&mut self) -> VirtAddr {
+        match self.empty_cstr {
+            Some(addr) => {
+                assert!(self.mem.poke_bytes(addr, &[0]), "data segment not mapped");
+                addr
+            }
+            None => {
+                let addr = self.alloc_cstr("");
+                self.empty_cstr = Some(addr);
+                addr
+            }
+        }
     }
 
     /// Places a NUL-terminated C string in the read-only segment, the way

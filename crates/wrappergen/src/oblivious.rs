@@ -222,7 +222,7 @@ pub fn oblivious_outcome(
             // string (a real NUL byte, so downstream scans of the result
             // stay in bounds) — and that pointer is tainted.
             if matches!(cx.ret, CType::Ptr { .. }) && cx.null_defaults.contains(cx.func) {
-                let fabricated = proc.alloc_cstr("");
+                let fabricated = proc.empty_cstr();
                 return ObliviousOutcome {
                     ret: CVal::Ptr(fabricated),
                     role: "contract-default",
@@ -311,12 +311,23 @@ mod tests {
             ret: &ret_of("char *strstr(const char *h, const char *n);"),
             null_defaults: &defaults,
         };
-        let out = oblivious_outcome(&cx, &mut p, &oracle(), &[CVal::NULL, CVal::NULL]);
+        let args = [CVal::NULL, CVal::NULL];
+        let out = oblivious_outcome(&cx, &mut p, &oracle(), &args);
         let fabricated = out.ret.as_ptr();
         assert!(!fabricated.is_null(), "a real pointer, not NULL");
         assert_eq!(p.read_cstr_lossy(fabricated), "", "points at a NUL byte");
         assert_eq!(out.taint, Some(fabricated.get()), "manufactured pointers are tainted");
         assert_eq!(out.role, "contract-default");
+        // One string per absorption would exhaust the data segment after
+        // about 261k absorptions; every absorption gets the same one.
+        for _ in 1..1_000 {
+            let again = oblivious_outcome(&cx, &mut p, &oracle(), &args).ret.as_ptr();
+            assert_eq!(again, fabricated, "one manufactured string per process");
+        }
+        // A caller that stored through it still gets an empty string next.
+        p.write_cstr(fabricated, b"x").unwrap();
+        let again = oblivious_outcome(&cx, &mut p, &oracle(), &args).ret.as_ptr();
+        assert_eq!((again, p.read_cstr_lossy(again).as_str()), (fabricated, ""));
     }
 
     #[test]
