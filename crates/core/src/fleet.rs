@@ -325,11 +325,15 @@ pub fn run_fleet_sim(config: &FleetSimConfig) -> FleetSimOutcome {
     }
 
     let expected_docs = config.instances * config.rounds;
-    let final_levels =
-        supervisor.director().journal().iter().map(|ev| (ev.func.clone(), ev.to)).collect();
+    let final_levels = supervisor.director().final_levels().clone();
+    let dropped = supervisor.director().journal_dropped();
     let (rollup, accounting, journal) = supervisor.shutdown();
     let fleet_report = profiler::render_fleet_report(&rollup, &accounting);
-    let escalation_report = profiler::render_escalation_report(&journal);
+    let mut escalation_report = profiler::render_escalation_report(&journal);
+    if dropped > 0 {
+        escalation_report
+            .push_str(&format!("  ({dropped} later decisions counted, not kept)\n"));
+    }
     FleetSimOutcome {
         rollup,
         accounting,

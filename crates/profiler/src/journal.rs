@@ -26,7 +26,8 @@ use parking_lot::Mutex;
 use simproc::CVal;
 
 /// Decisions, and separately tainted uses, a journal keeps before it
-/// starts counting instead of storing.
+/// starts counting instead of storing. The remediation director's
+/// escalation journal keeps the same first-N.
 pub const JOURNAL_CAP: usize = 1024;
 
 /// Longest argument string kept per call-ring entry; longer strings are

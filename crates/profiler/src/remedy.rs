@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 
 use crate::fleet::WindowStats;
+use crate::journal::JOURNAL_CAP;
 
 /// One rung of the remediation ladder, least intrusive first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -226,6 +227,32 @@ impl Default for FuncState {
     }
 }
 
+/// The escalation journal: the first [`JOURNAL_CAP`] decisions, a count
+/// of the ones after, and every journaled function's level after its
+/// latest decision (kept whole, so the cap never hides a final level).
+#[derive(Debug, Default)]
+struct Journal {
+    events: Vec<RemedyEvent>,
+    dropped: u64,
+    last_level: BTreeMap<String, EscalationLevel>,
+}
+
+impl Journal {
+    fn push(&mut self, ev: RemedyEvent) {
+        match self.last_level.get_mut(&ev.func) {
+            Some(level) => *level = ev.to,
+            None => {
+                self.last_level.insert(ev.func.clone(), ev.to);
+            }
+        }
+        if self.events.len() < JOURNAL_CAP {
+            self.events.push(ev);
+        } else {
+            self.dropped += 1;
+        }
+    }
+}
+
 /// The remediation director. Feed it sealed windows in order via
 /// [`Director::observe_window`]; it returns the policy changes to apply
 /// and appends every decision to its journal.
@@ -233,13 +260,13 @@ impl Default for FuncState {
 pub struct Director {
     config: DirectorConfig,
     funcs: BTreeMap<String, FuncState>,
-    journal: Vec<RemedyEvent>,
+    journal: Journal,
 }
 
 impl Director {
     /// A director with `config`.
     pub fn new(config: DirectorConfig) -> Self {
-        Director { config, funcs: BTreeMap::new(), journal: Vec::new() }
+        Director { config, funcs: BTreeMap::new(), journal: Journal::default() }
     }
 
     /// The current level for `func` (Observe if never touched).
@@ -247,9 +274,22 @@ impl Director {
         self.funcs.get(func).map(|s| s.level).unwrap_or(EscalationLevel::Observe)
     }
 
-    /// The auditable escalation journal, in decision order.
+    /// The auditable escalation journal, in decision order: the first
+    /// [`JOURNAL_CAP`] decisions.
     pub fn journal(&self) -> &[RemedyEvent] {
-        &self.journal
+        &self.journal.events
+    }
+
+    /// Decisions made after the journal reached [`JOURNAL_CAP`]: counted,
+    /// not kept.
+    pub fn journal_dropped(&self) -> u64 {
+        self.journal.dropped
+    }
+
+    /// The level every function the director ever journaled stands at
+    /// after its latest decision, kept or not.
+    pub fn final_levels(&self) -> &BTreeMap<String, EscalationLevel> {
+        &self.journal.last_level
     }
 
     /// Consumes one sealed window of fleet stats and returns the policy
@@ -576,5 +616,40 @@ mod tests {
             d.journal().to_vec()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn journal_keeps_the_first_cap_decisions_and_counts_the_rest() {
+        // One anomalous window escalates every function in it at once.
+        let names: Vec<String> =
+            (0..JOURNAL_CAP + 40).map(|i| format!("f{i:05}")).collect();
+        let entries: Vec<(&str, u64, u64)> =
+            names.iter().map(|n| (n.as_str(), 50, 50)).collect();
+        let mut d = director();
+        let changes = d.observe_window(0, &window(&entries));
+        assert_eq!(changes.len(), JOURNAL_CAP + 40);
+        assert_eq!(d.journal().len(), JOURNAL_CAP);
+        assert_eq!(d.journal_dropped(), 40);
+        assert_eq!(d.journal().last().unwrap().func, names[JOURNAL_CAP - 1]);
+        // Final levels cover the dropped decisions too.
+        assert_eq!(d.final_levels().len(), JOURNAL_CAP + 40);
+        let last = names.last().unwrap();
+        assert_eq!(d.final_levels()[last], EscalationLevel::Contain);
+        assert_eq!(d.final_levels()[last], d.level_of(last));
+    }
+
+    #[test]
+    fn final_levels_follow_the_latest_decision() {
+        let mut d = director();
+        for w in 0..20 {
+            let rate = if w < 3 { 40 } else { 0 };
+            d.observe_window(w, &window(&[("strcpy", 100, rate)]));
+        }
+        assert_eq!(d.journal_dropped(), 0);
+        assert!(d.journal().len() >= 2, "journal: {:?}", d.journal());
+        let by_journal: BTreeMap<_, _> =
+            d.journal().iter().map(|e| (e.func.clone(), e.to)).collect();
+        assert_eq!(&by_journal, d.final_levels());
+        assert_eq!(d.final_levels()["strcpy"], d.level_of("strcpy"));
     }
 }

@@ -220,17 +220,15 @@ pub fn prototypes() -> Vec<Prototype> {
         .collect()
 }
 
-/// Looks up a symbol by name.
+/// Looks up a `libsimc.so.1` symbol by name.
 pub fn find_symbol(name: &str) -> Option<SymbolDef> {
-    symbols().into_iter().find(|s| s.name == name)
+    setup::resolve(name).filter(|&(_, libc)| libc).map(|(sym, _)| sym)
 }
 
 /// The implementation a simulated system library binds to `name`:
 /// `libsimc.so.1` first, then `libsimm.so.1`.
 pub fn find_impl(name: &str) -> Option<HostFn> {
-    find_symbol(name).map(|s| s.imp).or_else(|| {
-        math::math_symbols().into_iter().find(|s| s.name == name).map(|s| s.imp)
-    })
+    setup::resolve(name).map(|(sym, _)| sym.imp)
 }
 
 /// A synthetic header file for the whole library — what the HEALERS

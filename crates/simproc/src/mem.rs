@@ -21,6 +21,13 @@
 //! returns to the pool. A fault-injection campaign that builds a fresh
 //! multi-megabyte process image per test case therefore pays for the bytes
 //! it touched, not for the mapped size.
+//!
+//! The pool holds buffers only at the lengths `map` asked for. A buffer
+//! that [`AddressSpace::grow`] extended past its mapped length is freed on
+//! unmap instead of pooled: no later `map` asks for that length, and the
+//! pool is small and keyed by exact length, so a few grown heaps would
+//! otherwise fill it and leave every standard segment to a fresh zeroed
+//! allocation.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -46,8 +53,11 @@ thread_local! {
 /// and recycled through the thread-local pool.
 ///
 /// Invariant: every buffer in [`BUF_POOL`] is entirely zero.
+#[derive(Clone)]
 struct PoolBuf {
     buf: Vec<u8>,
+    /// The length `map` asked for; the buffer is pooled only at it.
+    mapped_len: usize,
     dirty_lo: usize,
     /// Exclusive; `dirty_lo >= dirty_hi` means clean.
     dirty_hi: usize,
@@ -67,7 +77,7 @@ impl PoolBuf {
         };
         let buf = buf.unwrap_or_else(|| vec![0; len]);
         debug_assert!(buf.iter().all(|&b| b == 0), "pooled buffer not zeroed");
-        PoolBuf { buf, dirty_lo: 0, dirty_hi: 0 }
+        PoolBuf { buf, mapped_len: len, dirty_lo: 0, dirty_hi: 0 }
     }
 
     fn len(&self) -> usize {
@@ -91,7 +101,8 @@ impl PoolBuf {
     }
 
     /// Grows the buffer to `new_len` with zero fill (appended bytes are
-    /// clean by construction).
+    /// clean by construction). A grown buffer is freed on drop, not
+    /// pooled.
     fn resize_zeroed(&mut self, new_len: usize) {
         debug_assert!(new_len >= self.buf.len());
         self.buf.resize(new_len, 0);
@@ -100,7 +111,7 @@ impl PoolBuf {
 
 impl Drop for PoolBuf {
     fn drop(&mut self) {
-        if self.buf.len() < POOL_MIN_LEN {
+        if self.buf.len() < POOL_MIN_LEN || self.buf.len() != self.mapped_len {
             return;
         }
         if self.dirty_hi > self.dirty_lo {
@@ -114,12 +125,6 @@ impl Drop for PoolBuf {
                 pool.push(buf);
             }
         });
-    }
-}
-
-impl Clone for PoolBuf {
-    fn clone(&self) -> Self {
-        PoolBuf { buf: self.buf.clone(), dirty_lo: self.dirty_lo, dirty_hi: self.dirty_hi }
     }
 }
 
@@ -966,6 +971,43 @@ mod tests {
         m.map(base, len, Prot::RW, "big2").unwrap();
         let back = m.read_bytes(base, len).unwrap();
         assert!(back.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn grown_regions_never_poison_the_pool() {
+        let pool_lens =
+            || BUF_POOL.with(|p| p.borrow().iter().map(Vec::len).collect::<Vec<_>>());
+        BUF_POOL.with(|p| p.borrow_mut().clear());
+        let base = VirtAddr::new(0x10_0000);
+        let std_len = POOL_MIN_LEN * 2;
+        let mut grown = Vec::new();
+        let mut m = AddressSpace::new();
+        // More distinct grown lengths than the pool has slots.
+        for i in 0..20 {
+            m.map(base, std_len as u64, Prot::RW, "heap").unwrap();
+            m.write_u8(base, 0xEE).unwrap();
+            let extra = POOL_MIN_LEN * (i + 1);
+            m.grow(base, extra as u64).unwrap();
+            m.write_u8(base.add((std_len + extra - 1) as u64), 0xEF).unwrap();
+            grown.push(std_len + extra);
+            assert!(m.unmap(base));
+        }
+        assert!(
+            pool_lens().iter().all(|len| !grown.contains(len)),
+            "grown lengths left in the pool: {:?}",
+            pool_lens()
+        );
+        // A standard segment still cycles through the pool.
+        m.map(base, std_len as u64, Prot::RW, "data").unwrap();
+        m.write_bytes(base.add(100), &[0xAB; 64]).unwrap();
+        assert!(m.unmap(base));
+        let pooled = |lens: Vec<usize>| lens.iter().filter(|&&l| l == std_len).count();
+        let before = pooled(pool_lens());
+        assert!(before >= 1, "standard buffer was not pooled: {:?}", pool_lens());
+        m.map(base, std_len as u64, Prot::RW, "data2").unwrap();
+        assert_eq!(pooled(pool_lens()), before - 1, "map must reuse the pooled buffer");
+        let back = m.read_bytes(base, std_len as u64).unwrap();
+        assert!(back.iter().all(|&b| b == 0), "reused buffer not zeroed");
     }
 
     #[test]

@@ -134,7 +134,9 @@ pub struct Proc {
     pub mem: AddressSpace,
     /// Kernel-side state: files, std streams, privilege, attack flags.
     pub kernel: Kernel,
-    /// The function/address table.
+    /// The function/address table: names, text addresses and host
+    /// implementations, shared copy-on-write with the processes it was
+    /// cloned from.
     pub funcs: FuncTable,
     errno: i32,
     fuel_limit: Option<u64>,
@@ -153,8 +155,6 @@ pub struct Proc {
     exit_status: Option<i32>,
     next_sentinel: u64,
     fleet_identity: Option<(u64, u64, u64)>,
-    /// Host implementations of registered functions, indexed by `FuncId`.
-    impls: Vec<Option<HostFn>>,
     /// Direct-mapped positive cache of pointer validations, keyed by
     /// (wrapper, arg slot). Allocated lazily on the first store so
     /// processes that never run compiled wrappers pay nothing. Belongs to
@@ -206,7 +206,6 @@ impl Proc {
             exit_status: None,
             next_sentinel: 0x5AFE_0000_0000_0000,
             fleet_identity: None,
-            impls: Vec::new(),
             validation_memo: None,
             threads: vec![SimThread {
                 name: "main".to_string(),
@@ -351,19 +350,16 @@ impl Proc {
     }
 
     /// Registers a callable function: a name, a text address, and a host
-    /// implementation. Calls through the address reach `imp`.
+    /// implementation. Calls through the address reach `imp`. The entry
+    /// is private to this process: a call table shared with other
+    /// processes is copied first (see [`FuncTable`]).
     pub fn register_host_fn(&mut self, name: &str, imp: HostFn) -> VirtAddr {
-        let (id, addr) = self.funcs.register(name);
-        if self.impls.len() <= id.index() {
-            self.impls.resize(id.index() + 1, None);
-        }
-        self.impls[id.index()] = Some(imp);
-        addr
+        self.funcs.register_impl(name, imp).1
     }
 
     /// The host implementation behind a function id, if one is registered.
     pub fn host_fn(&self, id: FuncId) -> Option<HostFn> {
-        self.impls.get(id.index()).copied().flatten()
+        self.funcs.imp(id)
     }
 
     // ----- errno ---------------------------------------------------------
