@@ -11,12 +11,7 @@ pub fn memcpy(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let dest = arg(args, 0).as_ptr();
     let src = arg(args, 1).as_ptr();
     let n = arg(args, 2).as_usize();
-    let mut i = 0u64;
-    while i < n {
-        let b = p.read_u8(src.add(i))?;
-        p.write_u8(dest.add(i), b)?;
-        i += 1;
-    }
+    p.copy_forward(dest, src, n)?;
     ok_ptr(dest)
 }
 
@@ -36,19 +31,9 @@ pub fn memmove(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let src = arg(args, 1).as_ptr();
     let n = arg(args, 2).as_usize();
     if dest <= src || src.add(n) <= dest {
-        let mut i = 0u64;
-        while i < n {
-            let b = p.read_u8(src.add(i))?;
-            p.write_u8(dest.add(i), b)?;
-            i += 1;
-        }
+        p.copy_forward(dest, src, n)?;
     } else {
-        let mut i = n;
-        while i > 0 {
-            i -= 1;
-            let b = p.read_u8(src.add(i))?;
-            p.write_u8(dest.add(i), b)?;
-        }
+        p.copy_backward(dest, src, n)?;
     }
     ok_ptr(dest)
 }
@@ -59,11 +44,7 @@ pub fn memset(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let s = arg(args, 0).as_ptr();
     let c = arg(args, 1).as_int() as u8;
     let n = arg(args, 2).as_usize();
-    let mut i = 0u64;
-    while i < n {
-        p.write_u8(s.add(i), c)?;
-        i += 1;
-    }
+    p.fill(s, n, c)?;
     ok_ptr(s)
 }
 
@@ -91,14 +72,10 @@ pub fn memchr(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let s = arg(args, 0).as_ptr();
     let c = arg(args, 1).as_int() as u8;
     let n = arg(args, 2).as_usize();
-    let mut i = 0u64;
-    while i < n {
-        if p.read_u8(s.add(i))? == c {
-            return ok_ptr(s.add(i));
-        }
-        i += 1;
+    match p.scan(s, c, n)? {
+        Some(i) => ok_ptr(s.add(i)),
+        None => Ok(CVal::NULL),
     }
-    Ok(CVal::NULL)
 }
 
 /// `void bzero(void *s, size_t n);` (legacy BSD)

@@ -16,13 +16,7 @@ use crate::util::{arg, enter, lower, ok_int, ok_ptr};
 pub fn strlen(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     enter(p)?;
     let s = arg(args, 0).as_ptr();
-    let mut n = 0i64;
-    let mut cur = s;
-    while p.read_u8(cur)? != 0 {
-        n += 1;
-        cur = cur.add(1);
-    }
-    ok_int(n)
+    ok_int(p.cstr_len(s)? as i64)
 }
 
 /// `size_t strnlen(const char *s, size_t maxlen);`
@@ -30,13 +24,7 @@ pub fn strnlen(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     enter(p)?;
     let s = arg(args, 0).as_ptr();
     let maxlen = arg(args, 1).as_usize();
-    let mut n = 0u64;
-    let mut cur = s;
-    while n < maxlen && p.read_u8(cur)? != 0 {
-        n += 1;
-        cur = cur.add(1);
-    }
-    ok_int(n as i64)
+    ok_int(p.scan(s, 0, maxlen)?.unwrap_or(maxlen) as i64)
 }
 
 /// `char *strcpy(char *dest, const char *src);` — the unbounded classic.
@@ -44,15 +32,8 @@ pub fn strcpy(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     enter(p)?;
     let dest = arg(args, 0).as_ptr();
     let src = arg(args, 1).as_ptr();
-    let mut i = 0u64;
-    loop {
-        let b = p.read_u8(src.add(i))?;
-        p.write_u8(dest.add(i), b)?;
-        if b == 0 {
-            return ok_ptr(dest);
-        }
-        i += 1;
-    }
+    p.copy_cstr(dest, src, u64::MAX)?;
+    ok_ptr(dest)
 }
 
 /// `char *strncpy(char *dest, const char *src, size_t n);` — pads with
@@ -62,19 +43,8 @@ pub fn strncpy(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let dest = arg(args, 0).as_ptr();
     let src = arg(args, 1).as_ptr();
     let n = arg(args, 2).as_usize();
-    let mut i = 0u64;
-    while i < n {
-        let b = p.read_u8(src.add(i))?;
-        p.write_u8(dest.add(i), b)?;
-        i += 1;
-        if b == 0 {
-            break;
-        }
-    }
-    while i < n {
-        p.write_u8(dest.add(i), 0)?;
-        i += 1;
-    }
+    let copied = p.copy_cstr(dest, src, n)?;
+    p.fill(dest.add(copied), n - copied, 0)?;
     ok_ptr(dest)
 }
 
@@ -83,19 +53,9 @@ pub fn strcat(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     enter(p)?;
     let dest = arg(args, 0).as_ptr();
     let src = arg(args, 1).as_ptr();
-    let mut d = dest;
-    while p.read_u8(d)? != 0 {
-        d = d.add(1);
-    }
-    let mut i = 0u64;
-    loop {
-        let b = p.read_u8(src.add(i))?;
-        p.write_u8(d.add(i), b)?;
-        if b == 0 {
-            return ok_ptr(dest);
-        }
-        i += 1;
-    }
+    let end = dest.add(p.cstr_len(dest)?);
+    p.copy_cstr(end, src, u64::MAX)?;
+    ok_ptr(dest)
 }
 
 /// `char *strncat(char *dest, const char *src, size_t n);`
@@ -104,10 +64,7 @@ pub fn strncat(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let dest = arg(args, 0).as_ptr();
     let src = arg(args, 1).as_ptr();
     let n = arg(args, 2).as_usize();
-    let mut d = dest;
-    while p.read_u8(d)? != 0 {
-        d = d.add(1);
-    }
+    let d = dest.add(p.cstr_len(dest)?);
     let mut i = 0u64;
     while i < n {
         let b = p.read_u8(src.add(i))?;
@@ -428,16 +385,10 @@ pub fn strndup(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     enter(p)?;
     let s = arg(args, 0).as_ptr();
     let n = arg(args, 1).as_usize();
-    let mut bytes = Vec::new();
-    let mut cur = s;
-    while (bytes.len() as u64) < n {
-        let b = p.read_u8(cur)?;
-        if b == 0 {
-            break;
-        }
-        bytes.push(b);
-        cur = cur.add(1);
-    }
+    // Scan first: the host buffer is exactly the copy's size, and a scan
+    // that faults allocates nothing.
+    let len = p.scan(s, 0, n)?.unwrap_or(n);
+    let bytes = p.mem.read_bytes(s, len).expect("scanned readable");
     let dst = heap::malloc(p, bytes.len() as u64 + 1)?;
     if dst.is_null() {
         return Ok(CVal::NULL);
@@ -479,10 +430,7 @@ pub fn strlcat(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     let src = arg(args, 1).as_ptr();
     let size = arg(args, 2).as_usize();
     // Length of dst, but never scanning past `size`.
-    let mut dlen = 0u64;
-    while dlen < size && p.read_u8(dst.add(dlen))? != 0 {
-        dlen += 1;
-    }
+    let dlen = p.scan(dst, 0, size)?.unwrap_or(size);
     let mut slen = 0u64;
     loop {
         let b = p.read_u8(src.add(slen))?;

@@ -8,12 +8,22 @@
 //! # Performance model
 //!
 //! Region lookup is a binary search over the sorted region list with a
-//! one-entry last-hit (MRU) cache in front of it, so the per-byte loops in
-//! `simlibc` (`strlen`, `strcpy`, `memcpy`, ...) and the extent oracle pay
-//! O(1) per access in the common case of repeated hits inside one region.
-//! The MRU cache is invalidated whenever the region list mutates
-//! (`map`/`unmap`/`protect`); a stale hit is additionally re-validated with
-//! `Region::contains`, so correctness never depends on invalidation.
+//! one-entry last-hit (MRU) cache in front of it. Repeated lookups inside
+//! one region hit the cache and cost O(1); lookups that alternate between
+//! two regions, as a byte-at-a-time copy from one region into another
+//! does, miss it every time and pay the binary search. The MRU cache is
+//! invalidated whenever the region list mutates (`map`/`unmap`/`protect`);
+//! a stale hit is additionally re-validated with `Region::contains`, so
+//! correctness never depends on invalidation.
+//!
+//! Bulk work therefore goes by runs, not bytes: [`AddressSpace::run_at`]
+//! and [`AddressSpace::run_before`] hand out the accessible bytes up to a
+//! region's edge in one lookup, and [`AddressSpace::fill`] and
+//! [`AddressSpace::copy_within`] write a whole run with one dirty-range
+//! update and one epoch bump. `Proc`'s fuel-metered run primitives
+//! (`fill`, `copy_forward`, `copy_cstr`, `copy_backward`, `scan`), on
+//! which simlibc's string and memory functions are built, pay a few
+//! lookups per run instead of one or two per byte.
 //!
 //! Region backing stores are recycled through a thread-local buffer pool:
 //! each region tracks the dirty byte-range actually written, and on unmap
@@ -98,6 +108,13 @@ impl PoolBuf {
             self.dirty_hi = self.dirty_hi.max(off + n);
         }
         &mut self.buf[off..off + n]
+    }
+
+    /// Copies `src..src + n` to `dst..dst + n` (the ranges may overlap),
+    /// widening the dirty range to cover the destination.
+    fn copy_within(&mut self, src: usize, dst: usize, n: usize) {
+        self.slice_mut(dst, n);
+        self.buf.copy_within(src..src + n, dst);
     }
 
     /// Grows the buffer to `new_len` with zero fill (appended bytes are
@@ -734,6 +751,113 @@ impl AddressSpace {
         true
     }
 
+    /// The bytes from `addr` to the end of its region, if that region
+    /// allows `access`; empty otherwise. Never crosses into an adjacent
+    /// region, however contiguous: a run is one region's worth of one
+    /// protection.
+    ///
+    /// This is the query behind [`Proc`](crate::Proc)'s run primitives,
+    /// which move a whole run per step instead of one byte.
+    pub fn run_at(&self, addr: VirtAddr, access: Access) -> &[u8] {
+        match self.region_index(addr) {
+            Some(i) if self.regions[i].prot().allows(access) => {
+                let r = &self.regions[i];
+                &r.data.as_slice()[addr.diff(r.base()) as usize..]
+            }
+            _ => &[],
+        }
+    }
+
+    /// The bytes from the start of the region holding `end - 1` up to
+    /// `end` (exclusive), if that region allows `access`; empty otherwise.
+    /// The backward twin of [`AddressSpace::run_at`].
+    pub fn run_before(&self, end: VirtAddr, access: Access) -> &[u8] {
+        let last = end.sub(1);
+        match self.region_index(last) {
+            Some(i) if self.regions[i].prot().allows(access) => {
+                let r = &self.regions[i];
+                &r.data.as_slice()[..=last.diff(r.base()) as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    /// Writes `n` copies of `v` at `addr`: [`AddressSpace::write_bytes`]
+    /// of a constant, without materialising it.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Segv`] at the first unwritable byte; nothing is written in
+    /// that case.
+    pub fn fill(&mut self, addr: VirtAddr, n: u64, v: u8) -> Result<(), Fault> {
+        let len = n as usize;
+        let Some((i, off)) = self.span(addr, len, Access::Write) else {
+            // Empty, faulting, or straddling a region edge.
+            self.check(addr, n, Access::Write)?;
+            self.copy_in(addr, &vec![v; len]);
+            return Ok(());
+        };
+        self.bump_epoch();
+        self.regions[i].data.slice_mut(off, len).fill(v);
+        Ok(())
+    }
+
+    /// Copies `n` bytes from `src` to `dst` with `memmove` semantics: the
+    /// destination ends up holding what the source held before the call,
+    /// however the ranges overlap, inside one region or across several.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Segv`] at the first unreadable source byte, else at the
+    /// first unwritable destination byte; nothing is written in either
+    /// case.
+    pub fn copy_within(
+        &mut self,
+        dst: VirtAddr,
+        src: VirtAddr,
+        n: u64,
+    ) -> Result<(), Fault> {
+        let len = n as usize;
+        let (Some((si, s_off)), Some((di, d_off))) =
+            (self.span(src, len, Access::Read), self.span(dst, len, Access::Write))
+        else {
+            // Empty, faulting, or straddling a region edge: stage through
+            // the host.
+            self.check(src, n, Access::Read)?;
+            self.check(dst, n, Access::Write)?;
+            let mut staged = vec![0u8; len];
+            self.copy_out(src, &mut staged);
+            self.copy_in(dst, &staged);
+            return Ok(());
+        };
+        self.bump_epoch();
+        if si == di {
+            self.regions[di].data.copy_within(s_off, d_off, len);
+        } else {
+            let (s, d) = if si < di {
+                let (lo, hi) = self.regions.split_at_mut(di);
+                (&lo[si], &mut hi[0])
+            } else {
+                let (lo, hi) = self.regions.split_at_mut(si);
+                (&hi[0], &mut lo[di])
+            };
+            d.data
+                .slice_mut(d_off, len)
+                .copy_from_slice(&s.data.as_slice()[s_off..s_off + len]);
+        }
+        Ok(())
+    }
+
+    /// The region index and offset of `addr`, when the `len > 0` bytes
+    /// from it lie in one region that allows `access`.
+    fn span(&self, addr: VirtAddr, len: usize, access: Access) -> Option<(usize, usize)> {
+        let i = self.region_index(addr)?;
+        let r = &self.regions[i];
+        let off = addr.diff(r.base()) as usize;
+        (len > 0 && r.prot().allows(access) && len <= r.data.len() - off)
+            .then_some((i, off))
+    }
+
     /// Reads a pointer-sized value as a [`VirtAddr`].
     pub fn read_ptr(&self, addr: VirtAddr) -> Result<VirtAddr, Fault> {
         Ok(VirtAddr::new(self.read_u64(addr)?))
@@ -912,6 +1036,65 @@ mod tests {
         let s2 = m.peek_slice(VirtAddr::new(0x1010)).unwrap();
         assert_eq!(s2.len(), 0x10);
         assert!(m.peek_slice(VirtAddr::new(0x1020)).is_none());
+    }
+
+    #[test]
+    fn runs_end_at_the_region_and_honour_protection() {
+        let mut m = AddressSpace::new();
+        m.map(VirtAddr::new(0x1000), 0x10, Prot::RW, "lo").unwrap();
+        m.map(VirtAddr::new(0x1010), 0x10, Prot::R, "hi").unwrap();
+        m.write_u8(VirtAddr::new(0x100c), 7).unwrap();
+        // Contiguous regions still make two runs.
+        assert_eq!(m.run_at(VirtAddr::new(0x100c), Access::Write), &[7, 0, 0, 0]);
+        assert_eq!(m.run_at(VirtAddr::new(0x1010), Access::Read).len(), 0x10);
+        assert!(m.run_at(VirtAddr::new(0x1010), Access::Write).is_empty());
+        assert!(m.run_at(VirtAddr::new(0x1020), Access::Read).is_empty());
+        // Backward runs end just below `end` and start at the region base.
+        assert_eq!(m.run_before(VirtAddr::new(0x100d), Access::Read).len(), 0xd);
+        assert_eq!(m.run_before(VirtAddr::new(0x1010), Access::Write).len(), 0x10);
+        assert!(m.run_before(VirtAddr::new(0x1011), Access::Write).is_empty());
+        assert!(m.run_before(VirtAddr::new(0x1000), Access::Read).is_empty());
+    }
+
+    #[test]
+    fn fill_and_copy_within_are_all_or_nothing_with_one_bump() {
+        let mut m = AddressSpace::new();
+        m.map(VirtAddr::new(0x1000), 0x10, Prot::RW, "lo").unwrap();
+        m.map(VirtAddr::new(0x1010), 0x10, Prot::RW, "hi").unwrap();
+        m.map(VirtAddr::new(0x1020), 0x10, Prot::R, "ro").unwrap();
+        let e = m.epoch();
+        m.fill(VirtAddr::new(0x100c), 8, 0xAA).unwrap();
+        assert_eq!(m.epoch(), e + 1);
+        assert_eq!(m.read_bytes(VirtAddr::new(0x100b), 10).unwrap(), {
+            let mut v = vec![0xAA; 10];
+            v[0] = 0;
+            v[9] = 0;
+            v
+        });
+        // Overlapping copies inside one region keep memmove semantics.
+        m.write_bytes(VirtAddr::new(0x1000), b"abcdef").unwrap();
+        m.copy_within(VirtAddr::new(0x1002), VirtAddr::new(0x1000), 4).unwrap();
+        assert_eq!(m.read_bytes(VirtAddr::new(0x1000), 6).unwrap(), b"ababcd");
+        m.copy_within(VirtAddr::new(0x1000), VirtAddr::new(0x1002), 4).unwrap();
+        assert_eq!(m.read_bytes(VirtAddr::new(0x1000), 6).unwrap(), b"abcdcd");
+        // Between regions, and straddling the contiguous boundary.
+        m.copy_within(VirtAddr::new(0x1014), VirtAddr::new(0x1000), 4).unwrap();
+        assert_eq!(m.read_bytes(VirtAddr::new(0x1014), 4).unwrap(), b"abcd");
+        m.copy_within(VirtAddr::new(0x100e), VirtAddr::new(0x1012), 6).unwrap();
+        assert_eq!(m.read_bytes(VirtAddr::new(0x100e), 6).unwrap(), b"\xAA\xAAabcd");
+        // A fault writes nothing and leaves the epoch alone.
+        let (e, before) = (m.epoch(), m.read_bytes(VirtAddr::new(0x1000), 0x30).unwrap());
+        let err = m.fill(VirtAddr::new(0x101c), 8, 1).unwrap_err();
+        assert_eq!(err, Fault::segv(VirtAddr::new(0x1020), Access::Write, "memory access"));
+        let err =
+            m.copy_within(VirtAddr::new(0x1000), VirtAddr::new(0x102c), 8).unwrap_err();
+        assert_eq!(err, Fault::segv(VirtAddr::new(0x1030), Access::Read, "memory access"));
+        assert_eq!(m.read_bytes(VirtAddr::new(0x1000), 0x30).unwrap(), before);
+        assert_eq!(m.epoch(), e);
+        // Empty operations neither fault nor bump.
+        m.fill(VirtAddr::new(0x9000), 0, 1).unwrap();
+        m.copy_within(VirtAddr::new(0x9000), VirtAddr::new(0x9000), 0).unwrap();
+        assert_eq!(m.epoch(), e);
     }
 
     #[test]

@@ -478,17 +478,227 @@ impl Proc {
     /// Reads a NUL-terminated C string starting at `addr`, one fuel per
     /// byte. An unterminated string keeps scanning until it faults on
     /// unmapped memory or runs out of fuel — exactly like real `strlen`.
+    /// The length is scanned first, so the host buffer has exactly the
+    /// string's size, and a scan that faults allocates nothing.
     pub fn read_cstr(&mut self, addr: VirtAddr) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
-        let mut cur = addr;
-        loop {
-            let b = self.read_u8(cur)?;
-            if b == 0 {
-                return Ok(out);
-            }
-            out.push(b);
-            cur = cur.add(1);
+        let len = self.cstr_len(addr)?;
+        Ok(self.mem.read_bytes(addr, len).expect("scanned readable"))
+    }
+
+    /// The length of the C string at `addr`: [`Proc::scan`] for its NUL,
+    /// one fuel per byte read, the NUL included.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where the scan runs out of fuel
+    /// or mapped memory.
+    pub fn cstr_len(&mut self, addr: VirtAddr) -> Result<u64, Fault> {
+        Ok(self.scan(addr, 0, u64::MAX)?.expect("a NUL ends every unfaulted scan"))
+    }
+
+    // ----- run primitives ---------------------------------------------------
+    //
+    // Each primitive is observably one byte loop of `read_u8`/`write_u8`:
+    // the same result, the same fault (address and access included), the
+    // same partial writes before it and the same `cycles()`. Only the cost
+    // differs: a step moves the largest run the fuel left, the readable
+    // source run, the writable destination run and the overlap of source
+    // and destination allow, in one bulk access. When no byte fits, the
+    // primitive takes one byte step of its loop, which faults exactly as
+    // the loop would have.
+
+    /// Fuel that can still be burned without a hang.
+    fn fuel_left(&self) -> u64 {
+        match self.fuel_limit {
+            Some(limit) => limit.saturating_sub(self.fuel_used),
+            None => u64::MAX,
         }
+    }
+
+    /// Charges `n` fuel already known to fit in [`Proc::fuel_left`].
+    fn charge(&mut self, n: u64) {
+        self.fuel_used = self.fuel_used.saturating_add(n);
+    }
+
+    /// Writes `v` to the `n` bytes at `addr`: the loop of `n` ×
+    /// [`Proc::write_u8`], 1 fuel per byte.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where that loop would fault, with
+    /// the bytes before it written.
+    pub fn fill(&mut self, addr: VirtAddr, n: u64, v: u8) -> Result<(), Fault> {
+        let mut done = 0u64;
+        while done < n {
+            let at = addr.add(done);
+            let k = (n - done)
+                .min(self.fuel_left())
+                .min(self.mem.run_at(at, Access::Write).len() as u64);
+            if k == 0 {
+                self.write_u8(at, v)?;
+                done += 1;
+                continue;
+            }
+            self.charge(k);
+            self.mem.fill(at, k, v).expect("run is writable");
+            done += k;
+        }
+        Ok(())
+    }
+
+    /// Copies `n` bytes from `src` to `dst` front to back: the loop of `n`
+    /// × ([`Proc::read_u8`] of `src[i]`, [`Proc::write_u8`] of `dst[i]`),
+    /// 2 fuel per byte. Like that loop, an overlapping `dst` above `src`
+    /// re-reads bytes the copy already wrote (the classic `memcpy` smear).
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where that loop would fault, with
+    /// the bytes before it copied.
+    pub fn copy_forward(
+        &mut self,
+        dst: VirtAddr,
+        src: VirtAddr,
+        n: u64,
+    ) -> Result<(), Fault> {
+        self.copy_runs(dst, src, n, false).map(|_| ())
+    }
+
+    /// [`Proc::copy_forward`] of at most `max` bytes that stops after
+    /// copying a NUL, as `strcpy` does. Returns the bytes copied, the NUL
+    /// included.
+    ///
+    /// # Errors
+    ///
+    /// As [`Proc::copy_forward`].
+    pub fn copy_cstr(
+        &mut self,
+        dst: VirtAddr,
+        src: VirtAddr,
+        max: u64,
+    ) -> Result<u64, Fault> {
+        self.copy_runs(dst, src, max, true)
+    }
+
+    fn copy_runs(
+        &mut self,
+        dst: VirtAddr,
+        src: VirtAddr,
+        n: u64,
+        stop_after_nul: bool,
+    ) -> Result<u64, Fault> {
+        // A destination `d` bytes above the source reads, at byte `i`, what
+        // byte `i - d` wrote: a run of at most `d` bytes reads only bytes
+        // from before it.
+        let reach = if dst > src { dst.diff(src) } else { u64::MAX };
+        let mut done = 0u64;
+        while done < n {
+            let (s, d) = (src.add(done), dst.add(done));
+            let read = self.mem.run_at(s, Access::Read);
+            let mut k = (n - done)
+                .min(self.fuel_left() / 2)
+                .min(read.len() as u64)
+                .min(self.mem.run_at(d, Access::Write).len() as u64)
+                .min(reach);
+            if k == 0 {
+                let b = self.read_u8(s)?;
+                self.write_u8(d, b)?;
+                done += 1;
+                if stop_after_nul && b == 0 {
+                    return Ok(done);
+                }
+                continue;
+            }
+            let nul = stop_after_nul
+                .then(|| read[..k as usize].iter().position(|&b| b == 0))
+                .flatten();
+            if let Some(z) = nul {
+                k = z as u64 + 1;
+            }
+            self.charge(2 * k);
+            self.mem.copy_within(d, s, k).expect("runs are accessible");
+            done += k;
+            if nul.is_some() {
+                return Ok(done);
+            }
+        }
+        Ok(done)
+    }
+
+    /// Copies `n` bytes from `src` to `dst` back to front, `memmove`'s
+    /// overlap branch: the loop of, for `i` from `n - 1` down to 0,
+    /// [`Proc::read_u8`] of `src[i]` and [`Proc::write_u8`] of `dst[i]`,
+    /// 2 fuel per byte.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where that loop would fault, with
+    /// the bytes above it copied.
+    pub fn copy_backward(
+        &mut self,
+        dst: VirtAddr,
+        src: VirtAddr,
+        n: u64,
+    ) -> Result<(), Fault> {
+        // Mirror of `copy_runs`: a destination below the source reads back
+        // what the copy wrote `src - dst` bytes earlier.
+        let reach = if src > dst { src.diff(dst) } else { u64::MAX };
+        let mut left = n;
+        while left > 0 {
+            let (s, d) = (src.add(left), dst.add(left));
+            let k = left
+                .min(self.fuel_left() / 2)
+                .min(self.mem.run_before(s, Access::Read).len() as u64)
+                .min(self.mem.run_before(d, Access::Write).len() as u64)
+                .min(reach);
+            if k == 0 {
+                left -= 1;
+                let b = self.read_u8(src.add(left))?;
+                self.write_u8(dst.add(left), b)?;
+                continue;
+            }
+            left -= k;
+            self.charge(2 * k);
+            self.mem
+                .copy_within(dst.add(left), src.add(left), k)
+                .expect("runs are accessible");
+        }
+        Ok(())
+    }
+
+    /// Reads bytes from `addr` until one equals `needle`, at most `max` of
+    /// them: the loop of [`Proc::read_u8`], 1 fuel per byte read. Returns
+    /// the needle's offset, or `None` when the first `max` bytes hold none.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where that loop would fault.
+    pub fn scan(
+        &mut self,
+        addr: VirtAddr,
+        needle: u8,
+        max: u64,
+    ) -> Result<Option<u64>, Fault> {
+        let mut done = 0u64;
+        while done < max {
+            let at = addr.add(done);
+            let run = self.mem.run_at(at, Access::Read);
+            let k = (max - done).min(self.fuel_left()).min(run.len() as u64);
+            if k == 0 {
+                if self.read_u8(at)? == needle {
+                    return Ok(Some(done));
+                }
+                done += 1;
+                continue;
+            }
+            if let Some(z) = run[..k as usize].iter().position(|&b| b == needle) {
+                self.charge(z as u64 + 1);
+                return Ok(Some(done + z as u64));
+            }
+            self.charge(k);
+            done += k;
+        }
+        Ok(None)
     }
 
     /// [`Proc::read_cstr`] decoded as lossy UTF-8; panics on fault
