@@ -782,8 +782,8 @@ impl AddressSpace {
         }
     }
 
-    /// Writes `n` copies of `v` at `addr`: [`AddressSpace::write_bytes`]
-    /// of a constant, without materialising it.
+    /// Writes `n` copies of `v` at `addr`, as [`AddressSpace::write_bytes`]
+    /// of them would.
     ///
     /// # Errors
     ///
@@ -1065,12 +1065,10 @@ mod tests {
         let e = m.epoch();
         m.fill(VirtAddr::new(0x100c), 8, 0xAA).unwrap();
         assert_eq!(m.epoch(), e + 1);
-        assert_eq!(m.read_bytes(VirtAddr::new(0x100b), 10).unwrap(), {
-            let mut v = vec![0xAA; 10];
-            v[0] = 0;
-            v[9] = 0;
-            v
-        });
+        assert_eq!(
+            m.read_bytes(VirtAddr::new(0x100b), 10).unwrap(),
+            b"\0\xAA\xAA\xAA\xAA\xAA\xAA\xAA\xAA\0"
+        );
         // Overlapping copies inside one region keep memmove semantics.
         m.write_bytes(VirtAddr::new(0x1000), b"abcdef").unwrap();
         m.copy_within(VirtAddr::new(0x1002), VirtAddr::new(0x1000), 4).unwrap();
