@@ -155,8 +155,8 @@ fn bench_wrapper() -> (WrapperReport, Vec<SuiteEntry>) {
 
 /// Per-call cost of the compiled telemetry epilogue: the same robustness
 /// `strlen`, with latency histograms and a flight recorder configured.
-/// The plan must survive — this is the configuration that used to force
-/// every call through `call_dynamic`.
+/// The plan must survive — this configuration once needed recorder
+/// hooks, which kept the check hook from fusing.
 fn bench_telemetry_fast() -> f64 {
     let api = bench_api();
     let config = WrapperConfig {

@@ -77,7 +77,7 @@ impl PoolBuf {
     /// An all-zero buffer of `len` bytes, recycled from the pool if a
     /// matching one is available.
     fn zeroed(len: usize) -> Self {
-        let buf = if len >= POOL_MIN_LEN {
+        let pooled = if len >= POOL_MIN_LEN {
             BUF_POOL.with(|p| {
                 let mut pool = p.borrow_mut();
                 pool.iter().position(|b| b.len() == len).map(|i| pool.swap_remove(i))
@@ -85,8 +85,15 @@ impl PoolBuf {
         } else {
             None
         };
-        let buf = buf.unwrap_or_else(|| vec![0; len]);
-        debug_assert!(buf.iter().all(|&b| b == 0), "pooled buffer not zeroed");
+        // Only a recycled buffer can hold stale bytes (a dirty range the
+        // drop path missed); a fresh one is zero by construction.
+        let buf = match pooled {
+            Some(buf) => {
+                debug_assert!(buf.iter().all(|&b| b == 0), "pooled buffer not zeroed");
+                buf
+            }
+            None => vec![0; len],
+        };
         PoolBuf { buf, mapped_len: len, dirty_lo: 0, dirty_hi: 0 }
     }
 

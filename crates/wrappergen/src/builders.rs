@@ -179,14 +179,13 @@ pub struct WrapperConfig {
     /// Record per-function log2 latency histograms (`call` stage for
     /// every wrapper kind; `check`/`heal` stages for healing wrappers).
     /// Off by default: extra per-call recording. The `call`-stage sample
-    /// is compiled into the wrapper's epilogue and so costs no fast
-    /// path; healing's per-stage histograms still keep that (already
-    /// dynamic) pipeline dynamic.
+    /// is compiled into the wrapper's epilogue and so needs no hook;
+    /// healing's per-stage histograms keep its check hook unfused.
     pub latency_histograms: bool,
     /// Keep a flight recorder of the last N calls through the wrapper
     /// (`Some(n)`). Off by default — it records on every call. Recording
-    /// is compiled into the wrapper's epilogue, so compiled call plans
-    /// survive. The ring is part of the library's journal and surfaces
+    /// is compiled into the wrapper's epilogue, so no hook loses its
+    /// fusion. The ring is part of the library's journal and surfaces
     /// via [`WrapperJournal::tail`] and the exit document.
     pub flight_recorder: Option<usize>,
     /// Functions whose static contract (analyzer `NullOk` facts) marks
@@ -246,7 +245,7 @@ pub fn build_wrapper_with_impls(
         Arc::new(WrapperJournal::new().with_ring(config.flight_recorder.unwrap_or(0)));
     let oracle = GuardOracle::new(Arc::clone(&registry));
     let engine = config.policy.clone().unwrap_or_else(PolicyEngine::healing);
-    // Taint tracking (and the dynamic pipeline it forces) is paid for
+    // Taint tracking (and the unfused check hook it forces) is paid for
     // only when some route through the engine can actually go oblivious.
     let taint = kind == WrapperKind::Healing && engine.may_go_oblivious();
     let contract_defaults: Arc<BTreeSet<String>> =
@@ -404,9 +403,8 @@ pub fn build_wrapper_with_impls(
                             .with_contract_defaults(Arc::clone(&contract_defaults));
                     }
                     if config.latency_histograms {
-                        // The healing pipeline is dynamic anyway (the
-                        // journal forbids compiled plans), so stage
-                        // latency costs no fast path here.
+                        // Stage latency keeps the check hook unfused:
+                        // its `before` then runs on every call.
                         check = check.with_stats(Arc::clone(&stats));
                     }
                     hooks.push(Arc::new(check));
@@ -434,7 +432,7 @@ pub fn build_wrapper_with_impls(
         // Telemetry is compiled into the wrapper's epilogue rather than
         // riding as hooks: it records after every other hook settled the
         // verdict (the position a first-inserted recorder hook's `after`
-        // occupied) without forcing the dynamic pipeline.
+        // occupied) without unfusing any hook.
         let latency = config.latency_histograms.then(|| Arc::clone(&stats));
         let flight = config.flight_recorder.map(|_| Arc::clone(&journal));
         fns.insert(
@@ -727,10 +725,10 @@ mod tests {
         assert_eq!(tail[1].func, "strcpy");
         assert_eq!(tail[1].verdict, err.to_string());
 
-        // Off by default: nothing recorded, and compiled plans survive.
+        // Off by default: nothing recorded, and the check hook fuses.
         let plain =
             build_wrapper(WrapperKind::Robustness, &tiny_api(), &WrapperConfig::default());
-        assert!(plain.get("strlen").unwrap().has_plan(), "fast path intact");
+        assert!(plain.get("strlen").unwrap().has_plan(), "check hook fused");
         let s = p.alloc_cstr("xyz");
         plain.get("strlen").unwrap().call(&mut p, &[CVal::Ptr(s)]).unwrap();
         assert!(plain.journal.tail().is_empty());
@@ -739,7 +737,7 @@ mod tests {
         let recorded = build_wrapper(WrapperKind::Robustness, &tiny_api(), &config);
         assert!(
             recorded.get("strlen").unwrap().has_plan(),
-            "recording rides the fast path"
+            "recording keeps the check hook fused"
         );
         let mut p = libc_proc();
         let s = p.alloc_cstr("xyz");

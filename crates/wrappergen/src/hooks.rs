@@ -19,8 +19,8 @@ use crate::codegen::{CodegenCx, Fragment};
 use crate::oblivious::{oblivious_fault_value, oblivious_outcome, ObliviousCx};
 use crate::policy::{apply_repair, Policy, PolicyEngine, ViolationClass};
 use crate::runtime::{
-    containment_value, reject, ArcOracle, CallCx, CallLog, FailAction, FaultDecision, Hook,
-    HookAction, HookOp,
+    containment_value, reject, ArcOracle, CallCx, CallLog, FaultDecision, Hook, HookAction,
+    HookOp,
 };
 
 /// `arg check` / `heal args`: evaluates the robust argument types derived
@@ -35,15 +35,15 @@ pub struct ArgCheckHook {
     engine: PolicyEngine,
     journal: Option<Arc<WrapperJournal>>,
     /// When set, the hook records `check` / `heal` stage latency
-    /// histograms. Forces the dynamic pipeline — only wire it into
-    /// wrappers that are dynamic anyway (healing), never robustness.
+    /// histograms. Keeps the hook unfused (its `before` runs on every
+    /// call) — only wire it into healing wrappers, never robustness.
     stats: Option<Arc<Stats>>,
     /// Where the predicates came from (`"campaign"` unless overridden
     /// with [`ArgCheckHook::with_provenance`]).
     provenance: &'static str,
     /// When set, every call's pointer arguments are matched against the
     /// values oblivious absorptions manufactured, and each match is
-    /// journaled as a tainted use. Forces the dynamic pipeline: taint
+    /// journaled as a tainted use. Keeps the hook unfused: taint
     /// tracking is a per-call side effect.
     taint: bool,
     /// Functions whose static contract marks violated string inputs as
@@ -92,8 +92,8 @@ impl ArgCheckHook {
 
     /// Switches taint tracking on: every call whose pointer argument is
     /// a value an oblivious absorption manufactured is journaled as a
-    /// downstream use of it. Keeps the hook on the dynamic pipeline
-    /// (taint tracking observes every call).
+    /// downstream use of it. Keeps the hook unfused (taint tracking
+    /// observes every call).
     #[must_use]
     pub fn with_oblivious(mut self) -> Self {
         self.taint = true;
@@ -112,8 +112,7 @@ impl ArgCheckHook {
     /// Attaches a statistics table: the hook then records `check` (the
     /// whole before-call validation) and `heal` (each repair) stage
     /// latencies into per-function log2 histograms. This keeps the hook
-    /// on the dynamic pipeline, so only wire it into wrapper kinds that
-    /// are dynamic anyway.
+    /// unfused: its `before` then runs on every call.
     #[must_use]
     pub fn with_stats(mut self, stats: Arc<Stats>) -> Self {
         self.stats = Some(stats);
@@ -347,27 +346,18 @@ impl Hook for ArgCheckHook {
             .collect()
     }
 
-    fn fusion(&self) -> Option<(FailAction, ArcOracle)> {
+    fn fusion(&self) -> Option<ArcOracle> {
         // The accept path of `before` — every non-`Always` predicate
         // passes — is pure: no journal entry, no argument rewrite, no
-        // scratch, regardless of policy. So it fuses for *every* engine.
-        // The on-fail response is precomputable only for the uniform
-        // containment engine with no journal: then the dynamic path is
-        // exactly `reject` whatever predicate fired; anything else
-        // (healing, termination, per-class overrides, journaling) falls
-        // back to the dynamic pipeline to replay policy faithfully.
+        // scratch, regardless of policy. So it fuses for *every* engine:
+        // a failing check runs `before`, which applies the policy.
         // Stage-latency recording and taint tracking are per-call side
-        // effects `before` must perform on
-        // every call, accept path included — they keep the whole
-        // pipeline dynamic.
+        // effects `before` must perform on every call, accept path
+        // included — they keep the hook unfused.
         if self.stats.is_some() || self.taint {
             return None;
         }
-        let on_fail = match self.engine.uniform() {
-            Some(Policy::Contain) if self.journal.is_none() => FailAction::Reject,
-            _ => FailAction::Fallback,
-        };
-        Some((on_fail, Arc::new(self.oracle.clone())))
+        Some(Arc::new(self.oracle.clone()))
     }
 
     fn fragments(&self, cx: &CodegenCx<'_>) -> Vec<Fragment> {
@@ -586,10 +576,10 @@ impl Hook for CanaryHook {
         }
     }
 
-    fn fusion(&self) -> Option<(FailAction, ArcOracle)> {
+    fn fusion(&self) -> Option<ArcOracle> {
         // Asked only outside the allocator family, where the op list is
         // empty: `before` and `after` both fall through.
-        Some((FailAction::Fallback, Arc::new(GuardOracle::new(Arc::clone(&self.registry)))))
+        Some(Arc::new(GuardOracle::new(Arc::clone(&self.registry))))
     }
 
     fn fragments(&self, cx: &CodegenCx<'_>) -> Vec<Fragment> {
@@ -968,7 +958,7 @@ impl Hook for LogCallHook {
 /// journal. Installed *first* in the pipeline so its `after` runs last
 /// and observes the final result, including faults raised and
 /// substitutions made by every other hook. Per-call recording is a side
-/// effect, so the hook keeps its pipeline dynamic; generated wrappers
+/// effect, so the hook never fuses; generated wrappers
 /// record the same entries from their compiled epilogue instead
 /// ([`crate::WrapperConfig::flight_recorder`]), and this hook is the
 /// reference that epilogue is tested against.
@@ -1269,7 +1259,7 @@ mod tests {
                 simlibc::find_symbol(name).unwrap().imp,
                 vec![Arc::new(hook)],
             );
-            assert!(!f.has_plan(), "taint tracking must force the dynamic pipeline");
+            assert!(!f.has_plan(), "taint tracking must keep the hook unfused");
             f
         };
         let strcpy = mk(
@@ -1516,7 +1506,7 @@ mod tests {
             simlibc::find_symbol("strlen").unwrap().imp,
             vec![Arc::new(hook)],
         );
-        assert!(!f.has_plan(), "stage recording must force the dynamic pipeline");
+        assert!(!f.has_plan(), "stage recording must keep the hook unfused");
         let mut proc = libc_proc();
         let s = proc.alloc_cstr("ok");
         f.call(&mut proc, &[CVal::Ptr(s)]).unwrap();

@@ -10,9 +10,10 @@
 //! what it does per call as one op list ([`Hook::ops`]). From that list
 //! come its three views:
 //!
-//! * **behaviour**: the hook executes inside the simulated process, and
-//!   where a pipeline's accept path is exactly its `Check` ops those ops
-//!   fuse into one check kernel;
+//! * **behaviour**: the hook executes inside the simulated process; a
+//!   hook whose accept path is exactly its `Check` ops is fused, its
+//!   checks running in a check kernel shared with the fused hooks next
+//!   to it, and its `before` only when one of them fails;
 //! * **model**: [`WrappedFn::call_model`], the ops in pipeline order, is
 //!   what the analyzer's lint and substitution prover read;
 //! * **code** ([`codegen`]): the C fragment the hook contributes to the
@@ -69,7 +70,7 @@ pub use policy::{
     apply_repair, Policy, PolicyEngine, PolicyOverrides, ViolationClass, SUBSTITUTE_CAP,
 };
 pub use runtime::{
-    containment_value, reject, ArcOracle, CallCx, CallLog, CallModel, FailAction,
-    FaultDecision, Hook, HookAction, HookOp, ModelOp, WrappedFn,
+    containment_value, reject, ArcOracle, CallCx, CallLog, CallModel, FaultDecision, Hook,
+    HookAction, HookOp, ModelOp, WrappedFn,
 };
 pub use substitute::SubstituteHook;

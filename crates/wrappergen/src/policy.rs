@@ -227,10 +227,9 @@ impl PolicyEngine {
     }
 
     /// Attaches a shared runtime override table. Overrides win over
-    /// every static rule, and attaching the table disables the
-    /// compiled fast path ([`PolicyEngine::uniform`] returns `None`):
-    /// a plan frozen at build time cannot honour a policy that may
-    /// change between calls.
+    /// every static rule, and attaching the table makes
+    /// [`PolicyEngine::uniform`] return `None`: C generated at build
+    /// time cannot honour a policy that may change between calls.
     pub fn with_overrides(mut self, overrides: PolicyOverrides) -> Self {
         self.overrides = Some(overrides);
         self

@@ -4,12 +4,16 @@
 //! fragment. A wrapped function runs its hooks' `before` parts in
 //! micro-generator order, calls the original (unless a hook contained the
 //! call), then runs `after` parts in reverse order — the same prefix/
-//! postfix discipline as Figure 3. Where every hook's accept path is
-//! exactly its `Check` ops, those ops fuse into one check kernel.
+//! postfix discipline as Figure 3. A hook whose accept path is exactly
+//! its `Check` ops is fused: its checks run in a check kernel shared
+//! with the fused hooks next to it, and its `before` runs only when one
+//! of them fails.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -66,34 +70,22 @@ pub struct CallCx<'a> {
     pub scratch: Vec<u64>,
 }
 
-/// What the compiled fast path does when a fused check fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailAction {
-    /// Re-run the call through the full dynamic hook pipeline (which will
-    /// re-discover the violation and apply policy, journaling, healing).
-    Fallback,
-    /// Reject directly: `errno = EINVAL`, containment value returned —
-    /// only when the owning hook proved this is *exactly* what its
-    /// dynamic path would do (uniform containment policy, no journal).
-    Reject,
-}
-
 /// Shared handle to the extent oracle a kernel check consults.
 pub type ArcOracle = Arc<dyn ExtentOracle + Send + Sync>;
 
-/// One directly-dispatched check inside a [`CheckKernel::Seq`]: a hook's
-/// `Check` op plus the oracle and failure action its hook answered with,
-/// and its memoization key when the predicate's answer is a pure
-/// function of (pointer, memory epoch, oracle epoch).
+/// One directly-dispatched check inside a [`CheckKernel::Seq`]: a fused
+/// hook's `Check` op plus the oracle its hook answered with, and its
+/// memoization key when the predicate's answer is a pure function of
+/// (pointer, memory epoch, oracle epoch).
 struct KernelCheck {
+    /// Pipeline index of the hook that declared the check.
+    hook: usize,
     /// Argument index the predicate guards (always `< nargs`).
     arg: usize,
     /// The predicate itself.
     pred: SafePred,
     /// Extent oracle for the relational/extent predicates.
     oracle: ArcOracle,
-    /// Response on failure.
-    on_fail: FailAction,
     /// `Some(key)` when a passing validation of a non-null pointer may be
     /// cached in [`Proc::validation_store`] and replayed while both the
     /// address-space epoch and the oracle's auxiliary epoch hold still.
@@ -106,36 +98,62 @@ impl fmt::Debug for KernelCheck {
     }
 }
 
-/// The specialized check kernel a [`CallPlan`]'s check sequence fuses
-/// into at wrap time: one `match` dispatches the whole sequence. The
-/// common libc shapes get monomorphized bodies; everything else runs as
-/// a direct predicate sequence.
+impl KernelCheck {
+    /// Whether the check passes on `args`, replaying a memoized verdict
+    /// where one is live and memoizing a fresh pass where allowed.
+    fn passes(&self, proc: &mut Proc, args: &[CVal]) -> bool {
+        let v = args[self.arg];
+        let Some(key) = self.memo_key.filter(|_| !v.is_null()) else {
+            return self.eval(proc, args, v);
+        };
+        // A C string's verdict consults only process memory, never the
+        // oracle: auxiliary epoch 0.
+        let aux = match self.pred {
+            SafePred::CStr => 0,
+            _ => self.oracle.validation_epoch(),
+        };
+        if proc.validation_hit(key, v.as_ptr(), aux) {
+            return true;
+        }
+        let ok = self.eval(proc, args, v);
+        if ok {
+            proc.validation_store(key, v.as_ptr(), aux);
+        }
+        ok
+    }
+
+    /// Evaluates the predicate on `v` (= `args[self.arg]`): branch-free
+    /// lowering for the scalar predicates, direct dispatch for the rest.
+    fn eval(&self, proc: &Proc, args: &[CVal], v: CVal) -> bool {
+        match &self.pred {
+            SafePred::NonNull => !v.is_null(),
+            SafePred::IntNonZero => v.as_int() != 0,
+            SafePred::IntInRange { min, max } => {
+                let x = v.as_int();
+                (x >= *min) & (x <= *max)
+            }
+            SafePred::SizeBelow(n) => v.as_usize() < *n,
+            SafePred::CStr => peek_cstr_len(proc, v.as_ptr()).is_some(),
+            pred => pred.check(proc, self.oracle.as_ref(), args, self.arg),
+        }
+    }
+}
+
+/// The specialized check kernel a run of consecutive fused hooks fuses
+/// into at wrap time.
 enum CheckKernel {
-    /// No checks at all (profiled-robust functions, `NonNull`-free
-    /// signatures).
-    NoChecks,
-    /// Exactly one `CStr` check — the `strlen`/`atoi` shape. Scans with
-    /// [`peek_cstr_len`] directly and memoizes the validated pointer.
-    CStrOnly {
-        /// Argument holding the string.
-        arg: usize,
-        /// Memo key for the validated pointer.
-        memo_key: u64,
-        /// Response on failure.
-        on_fail: FailAction,
-    },
-    /// The fused `strcpy` shape: `HoldsCStrOf { src }` on `dst` plus
-    /// `CStr` on `src`, sharing one source scan — the interpreter walked
-    /// the source string twice.
+    /// The fused `strcpy` shape: one hook's `HoldsCStrOf { src }` on
+    /// `dst` plus `CStr` on `src`, sharing one source scan — the
+    /// predicates walk the source string twice.
     BufLenPair {
+        /// Pipeline index of the hook that declared both checks.
+        hook: usize,
         /// Destination-buffer argument.
         dst: usize,
         /// Source-string argument.
         src: usize,
         /// Oracle answering the destination's exact right extent.
         oracle: ArcOracle,
-        /// Response on failure (identical for both fused checks).
-        on_fail: FailAction,
     },
     /// General shape: direct predicate dispatch in pipeline order,
     /// memoized where sound.
@@ -145,8 +163,6 @@ enum CheckKernel {
 impl fmt::Debug for CheckKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckKernel::NoChecks => write!(f, "NoChecks"),
-            CheckKernel::CStrOnly { arg, .. } => write!(f, "CStrOnly(arg{})", arg + 1),
             CheckKernel::BufLenPair { dst, src, .. } => {
                 write!(f, "BufLenPair(dst=arg{}, src=arg{})", dst + 1, src + 1)
             }
@@ -156,15 +172,67 @@ impl fmt::Debug for CheckKernel {
 }
 
 impl CheckKernel {
-    /// Whether each fused check, in evaluation (= op) order, memoizes
-    /// its passing verdict — the one fact about a check that only the
-    /// plan compiler knows.
-    fn memoized(&self) -> Vec<bool> {
+    /// Fuses one run of fused hooks' checks into the tightest shape it
+    /// fits.
+    fn fuse(checks: Vec<KernelCheck>) -> CheckKernel {
+        if let [dst, src_check] = checks.as_slice() {
+            if let (SafePred::HoldsCStrOf { src }, SafePred::CStr) =
+                (&dst.pred, &src_check.pred)
+            {
+                if dst.hook == src_check.hook && src_check.arg == *src {
+                    return CheckKernel::BufLenPair {
+                        hook: dst.hook,
+                        dst: dst.arg,
+                        src: *src,
+                        oracle: Arc::clone(&dst.oracle),
+                    };
+                }
+            }
+        }
+        CheckKernel::Seq(checks)
+    }
+
+    /// `(owning hook, memoized)` for each fused check, in evaluation (=
+    /// op) order — the one fact about a check that only the plan
+    /// compiler knows.
+    fn memoized(&self) -> Vec<(usize, bool)> {
         match self {
-            CheckKernel::NoChecks => Vec::new(),
-            CheckKernel::CStrOnly { .. } => vec![true],
-            CheckKernel::BufLenPair { .. } => vec![false, false],
-            CheckKernel::Seq(seq) => seq.iter().map(|kc| kc.memo_key.is_some()).collect(),
+            CheckKernel::BufLenPair { hook, .. } => vec![(*hook, false), (*hook, false)],
+            CheckKernel::Seq(seq) => {
+                seq.iter().map(|kc| (kc.hook, kc.memo_key.is_some())).collect()
+            }
+        }
+    }
+
+    /// Runs the checks of the hooks numbered `from` and later. `None`
+    /// means they all passed; `Some(hook)` names the hook owning the
+    /// first failing check — the same answer, in the same order, as the
+    /// hooks' own `before` would reach.
+    fn first_failure(&self, proc: &mut Proc, args: &[CVal], from: usize) -> Option<usize> {
+        match self {
+            CheckKernel::BufLenPair { hook, dst, src, oracle } => {
+                // One source scan serves both checks. The destination
+                // bound is the exact `extent_right` edge of the
+                // containing object, so an accepted copy can never reach
+                // the canary — the overflow is prevented, not detected
+                // after the fact.
+                if *hook < from {
+                    return None;
+                }
+                match peek_cstr_len(proc, args[*src].as_ptr()) {
+                    Some(len)
+                        if oracle.extent_right(proc, args[*dst].as_ptr()).unwrap_or(0)
+                            > len =>
+                    {
+                        None
+                    }
+                    _ => Some(*hook),
+                }
+            }
+            CheckKernel::Seq(seq) => seq
+                .iter()
+                .find(|kc| kc.hook >= from && !kc.passes(proc, args))
+                .map(|kc| kc.hook),
         }
     }
 }
@@ -192,91 +260,28 @@ fn memoizable(pred: &SafePred) -> bool {
 /// Whether the plan compiler can fuse `op` into the kernel of a
 /// signature with `nargs` parameters: only predicate checks fuse, and a
 /// check on an argument the signature does not have can only be answered
-/// by the hook's dynamic path.
+/// by the hook's own `before`.
 fn fusable(op: &HookOp, nargs: usize) -> bool {
     matches!(op, HookOp::Check { arg, pred: Some(_), .. } if *arg < nargs)
 }
 
-/// Builds the memoization key for argument `arg_slot` of the wrapper
-/// numbered `wrapper_id`. Keys must be *globally disjoint* across
-/// wrappers: the memo table in [`Proc`] is shared by every wrapper that
-/// calls into a process, so two distinct `(wrapper, argument)` pairs
-/// mapping to one key would let one wrapper's positive verdict answer for
-/// another wrapper's argument — under a different predicate. The id and
-/// the slot therefore occupy disjoint 32-bit halves of the `u64`. (An
-/// earlier `id << 3 | arg` packing collided as soon as a slot index
-/// reached 8: wrapper 1 / slot 8 and wrapper 2 / slot 0 both encoded 16.)
-pub(crate) fn validation_memo_key(wrapper_id: u32, arg_slot: usize) -> u64 {
+/// Builds the memoization key for fused check number `slot` of the
+/// wrapper numbered `wrapper_id`. Keys must be *globally disjoint*: the
+/// memo table in [`Proc`] is shared by every wrapper that calls into a
+/// process, and by every check of one wrapper, so two distinct
+/// `(wrapper, check)` pairs mapping to one key would let one check's
+/// positive verdict answer for another — under a different predicate.
+/// The id and the slot therefore occupy disjoint 32-bit halves of the
+/// `u64`, and the slot numbers checks rather than arguments (two hooks
+/// may check one argument). (An earlier `id << 3 | arg` packing collided
+/// as soon as a slot index reached 8: wrapper 1 / slot 8 and wrapper 2 /
+/// slot 0 both encoded 16.)
+pub(crate) fn validation_memo_key(wrapper_id: u32, slot: usize) -> u64 {
     // Strictly below `u32::MAX`, not `<=`: keeps every legal key distinct
     // from the memo table's `u64::MAX` empty-slot sentinel even for
     // `wrapper_id == u32::MAX`.
-    debug_assert!(
-        arg_slot < u32::MAX as usize,
-        "arg slot {arg_slot} out of memo-key range"
-    );
-    (u64::from(wrapper_id) << 32) | arg_slot as u64
-}
-
-/// Fuses the pipeline's check sequence into the tightest [`CheckKernel`]
-/// shape it fits. Every check's `arg` is `< nargs` (the plan compiler
-/// refuses plans that guard missing arguments) and no `memo_key` is set
-/// yet. `wrapper_id` seeds the memo keys — see [`validation_memo_key`]
-/// for the disjoint encoding.
-fn fuse_kernel(checks: Vec<KernelCheck>, wrapper_id: u32) -> CheckKernel {
-    if checks.is_empty() {
-        return CheckKernel::NoChecks;
-    }
-    let memo_key = |arg: usize| validation_memo_key(wrapper_id, arg);
-    // strlen shape: a single CStr check.
-    if let [c] = checks.as_slice() {
-        if c.pred == SafePred::CStr {
-            return CheckKernel::CStrOnly {
-                arg: c.arg,
-                memo_key: memo_key(c.arg),
-                on_fail: c.on_fail,
-            };
-        }
-    }
-    // strcpy shape: HoldsCStrOf{src} on dst, then CStr on src itself,
-    // with one failure policy — fusable into a single source scan.
-    if let [dst, src_check] = checks.as_slice() {
-        if let (SafePred::HoldsCStrOf { src }, SafePred::CStr) =
-            (&dst.pred, &src_check.pred)
-        {
-            if dst.on_fail == src_check.on_fail && src_check.arg == *src {
-                return CheckKernel::BufLenPair {
-                    dst: dst.arg,
-                    src: *src,
-                    oracle: Arc::clone(&dst.oracle),
-                    on_fail: dst.on_fail,
-                };
-            }
-        }
-    }
-    // Memoization must also stay consistent with the sequence's own
-    // relational facts: a cached per-pointer verdict about an argument
-    // that a relational check (in the same sequence) relates to other
-    // arguments would let the memo answer for state the relational
-    // check re-derives each call — the disagreement the lint's
-    // memoized-relational rule flags. Suppress memo keys for every
-    // argument a relational predicate is the subject of or references.
-    let mut relational_args = std::collections::BTreeSet::new();
-    for c in &checks {
-        if c.pred.is_relational() {
-            relational_args.insert(c.arg);
-            relational_args.extend(c.pred.referenced_args());
-        }
-    }
-    CheckKernel::Seq(
-        checks
-            .into_iter()
-            .map(|c| KernelCheck {
-                memo_key: (memoizable(&c.pred) && !relational_args.contains(&c.arg))
-                    .then(|| memo_key(c.arg)),
-                ..c
-            })
-            .collect(),
-    )
+    debug_assert!(slot < u32::MAX as usize, "memo slot {slot} out of memo-key range");
+    (u64::from(wrapper_id) << 32) | slot as u64
 }
 
 /// One operation in a hook's per-call behaviour, declared by
@@ -304,7 +309,7 @@ pub enum HookOp {
         /// Whether a passing verdict is cached per pointer and replayed
         /// across calls while the validation epochs hold still. Hooks
         /// declare `false`; [`WrappedFn::call_model`] sets it from the
-        /// fused kernel's memo keys.
+        /// fused kernels' memo keys.
         memoized: bool,
     },
     /// The hook rewrites argument `arg` before the original runs (the
@@ -357,8 +362,9 @@ pub trait Hook: Send + Sync {
     /// What the hook does per call, in execution order: the one
     /// declaration the check kernel, the call model and the generated C
     /// derive from. Default: a single [`HookOp::Opaque`], which is always
-    /// sound (the lint assumes the worst, the pipeline stays dynamic). An
-    /// empty list promises the hook does nothing per call.
+    /// sound (the lint assumes the worst, the hook runs its `before` on
+    /// every call). An empty list promises the hook does nothing per
+    /// call.
     fn ops(&self, proto: &Prototype) -> Vec<HookOp> {
         let _ = proto;
         vec![HookOp::Opaque]
@@ -368,10 +374,13 @@ pub trait Hook: Send + Sync {
     /// predicate: whether the accept path is exactly those checks
     /// passing — `before` returns [`HookAction::Continue`] without side
     /// effects, `after` is a no-op, nothing is pushed onto the scratch
-    /// stack — and if so, what a failing check does and which oracle the
-    /// checks consult. `on_fault` may still do real work: the fast path
-    /// polls it when the original faults. Default: `None` (dynamic).
-    fn fusion(&self) -> Option<(FailAction, ArcOracle)> {
+    /// stack — and if so, which oracle the checks consult. The hook is
+    /// then fused: its checks run in the check kernel, and its `before`
+    /// runs only when one of them fails (or the call's arity keeps the
+    /// kernel from running), at the hook's own pipeline position.
+    /// `on_fault` is polled as for any hook. Default: `None` (the hook
+    /// runs its `before` on every call).
+    fn fusion(&self) -> Option<ArcOracle> {
         None
     }
 
@@ -415,19 +424,15 @@ pub struct WrappedFn {
     inner: Arc<WrappedInner>,
 }
 
-/// Maximum arity served by the compiled fast path (arguments live in a
-/// stack array of this size; longer signatures run dynamically).
-const MAX_FAST_ARGS: usize = 8;
-
 /// Retained capacity of the per-thread [`CallCx`] buffer pool.
 const CX_POOL_MAX: usize = 8;
 
 thread_local! {
-    /// Recycled `(args, scratch)` vector pairs for the dynamic path, so
-    /// steady-state `call_dynamic` traffic stops allocating per call
-    /// (the same recycling discipline as the address space's region
-    /// buffers). Popped on entry so re-entrant wrapped calls from inside
-    /// hooks get fresh buffers, returned cleared on exit.
+    /// Recycled `(args, scratch)` vector pairs, so steady-state calls
+    /// that run hooks stop allocating (the same recycling discipline as
+    /// the address space's region buffers). Popped when a call's first
+    /// hook runs, so re-entrant wrapped calls from inside hooks get fresh
+    /// buffers, returned cleared when the call ends.
     static CX_POOL: RefCell<Vec<(Vec<CVal>, Vec<u64>)>> = const { RefCell::new(Vec::new()) };
 
     /// Recycled render buffer for the compiled flight-recorder epilogue.
@@ -451,28 +456,130 @@ fn put_cx_bufs(mut args: Vec<CVal>, mut scratch: Vec<u64>) {
     });
 }
 
-/// The flat, precomputed per-call program: truncation ops, check ops and
-/// the containment value, fused from the hooks' ops at wrap time so
-/// the accept path is a branch-predictable array walk with no per-call
-/// heap allocation.
-struct CallPlan {
-    /// Exact arity the plan was compiled for; other arities (varargs,
-    /// miscalls) take the dynamic path.
-    nargs: usize,
-    /// `(index, bit width)` truncation ops for narrow integer params.
-    int_ops: Vec<(usize, u64)>,
-    /// All hooks' checks, fused into one specialized kernel.
-    kernel: CheckKernel,
-    /// Precomputed `containment_value(&proto.ret)`.
-    containment: CVal,
+/// Truncated arguments a call keeps on the stack, without touching the
+/// buffer pool.
+const INLINE_ARGS: usize = 8;
+
+/// Where a call's arguments live.
+enum Args<'a> {
+    /// The caller's slice, or its truncated copy on the stack.
+    Borrowed(&'a [CVal]),
+    /// Pooled `(args, scratch)` vectors, once a hook needed a
+    /// [`CallCx`] (or the truncated arguments did not fit the stack).
+    Pooled(Vec<CVal>, Vec<u64>),
+}
+
+/// A call's arguments and its hooks' scratch stack. While only kernels
+/// run, the arguments stay where [`Frame::new`] put them; the first hook
+/// that runs moves them into pooled vectors, which a [`CallCx`] then
+/// lends to every hook.
+struct Frame<'a> {
+    func: &'a str,
+    errno_before: i32,
+    entry_cycles: u64,
+    args: Args<'a>,
+}
+
+impl<'a> Frame<'a> {
+    /// Samples errno and the cycle counter and takes `args`, each
+    /// narrow integer truncated to its ABI width (in `inline` when they
+    /// fit).
+    fn new(
+        func: &'a str,
+        args: &'a [CVal],
+        widths: &[Option<u64>],
+        inline: &'a mut [CVal; INLINE_ARGS],
+        proc: &Proc,
+    ) -> Self {
+        let (errno_before, entry_cycles) = (proc.errno(), proc.cycles());
+        let frame = |args| Frame { func, errno_before, entry_cycles, args };
+        if !widths.iter().take(args.len()).any(Option::is_some) {
+            return frame(Args::Borrowed(args));
+        }
+        let truncate = |norm: &mut [CVal]| {
+            for (v, width) in norm.iter_mut().zip(widths) {
+                if let Some(b) = width {
+                    *v = CVal::Int(trunc_int(v.as_int(), *b));
+                }
+            }
+        };
+        match inline.get_mut(..args.len()) {
+            Some(norm) => {
+                norm.copy_from_slice(args);
+                truncate(norm);
+                frame(Args::Borrowed(norm))
+            }
+            None => {
+                let (mut norm, scratch) = take_cx_bufs();
+                norm.extend_from_slice(args);
+                truncate(&mut norm);
+                frame(Args::Pooled(norm, scratch))
+            }
+        }
+    }
+
+    fn args(&self) -> &[CVal] {
+        match &self.args {
+            Args::Borrowed(args) => args,
+            Args::Pooled(args, _) => args,
+        }
+    }
+
+    /// Whether a hook has run (or the arguments did not fit the stack).
+    fn pooled(&self) -> bool {
+        matches!(self.args, Args::Pooled(..))
+    }
+
+    /// Runs `f` on a [`CallCx`] over the frame, moving the arguments
+    /// into pooled vectors first if no hook has run yet. Kept out of
+    /// line: an accepted call whose hooks all fused never gets here, and
+    /// inlining the pooling into `call` measurably slowed that call.
+    #[inline(never)]
+    fn with_cx<R>(&mut self, proc: &mut Proc, f: impl FnOnce(&mut CallCx<'_>) -> R) -> R {
+        if !self.pooled() {
+            let (mut pooled, scratch) = take_cx_bufs();
+            pooled.extend_from_slice(self.args());
+            self.args = Args::Pooled(pooled, scratch);
+        }
+        let Args::Pooled(args, scratch) = &mut self.args else { unreachable!() };
+        let mut cx = CallCx {
+            func: self.func,
+            proc,
+            args: std::mem::take(args),
+            errno_before: self.errno_before,
+            entry_cycles: self.entry_cycles,
+            scratch: std::mem::take(scratch),
+        };
+        let r = f(&mut cx);
+        (*args, *scratch) = (cx.args, cx.scratch);
+        r
+    }
+}
+
+impl Drop for Frame<'_> {
+    fn drop(&mut self) {
+        if let Args::Pooled(args, scratch) = &mut self.args {
+            put_cx_bufs(std::mem::take(args), std::mem::take(scratch));
+        }
+    }
+}
+
+/// One step of the compiled per-call program: either one unfused hook,
+/// whose `before` runs on every call, or a run of consecutive fused
+/// hooks whose checks run in one kernel.
+struct Step {
+    /// Pipeline indices of the step's hooks.
+    hooks: Range<usize>,
+    /// The fused hooks' checks; `None` for an unfused hook.
+    kernel: Option<CheckKernel>,
 }
 
 /// Telemetry recording compiled into the wrapper's epilogue, so the
-/// latency-histogram and flight-recorder configurations no longer force
-/// every call through the dynamic hook pipeline. Recording happens
-/// exactly once per call, at the point the dynamic pipeline's
-/// (first-positioned, hence last-run) recorder hooks fired, with the
-/// same cycle arithmetic and argument rendering — byte-identical XML.
+/// latency-histogram and flight-recorder configurations need no recorder
+/// hooks. Recording happens exactly once per call, at the point a
+/// first-positioned (hence last-run) recorder hook's `after` would fire,
+/// with the same cycle arithmetic and argument rendering — byte-identical
+/// XML.
 struct Telemetry {
     /// Per-function "call" latency histogram sink.
     latency: Option<Arc<Stats>>,
@@ -487,8 +594,8 @@ struct WrappedInner {
     hooks: Vec<Arc<dyn Hook>>,
     /// ABI widths of integer parameters, for faithful truncation.
     int_widths: Vec<Option<u64>>,
-    /// Compiled fast path; `None` when any hook requires dynamic dispatch.
-    plan: Option<CallPlan>,
+    /// The pipeline compiled into steps, in pipeline order.
+    steps: Vec<Step>,
     /// Compiled telemetry epilogue; `None` when nothing records.
     telemetry: Option<Telemetry>,
 }
@@ -508,17 +615,18 @@ impl fmt::Debug for WrappedFn {
 }
 
 impl WrappedFn {
-    /// Wraps `original` with `hooks` (micro-generator order). The hooks'
-    /// `Check` ops are fused into a compiled `CallPlan` here, once, when
-    /// every hook's accept path is exactly its checks.
+    /// Wraps `original` with `hooks` (micro-generator order). The
+    /// pipeline is compiled into steps here, once: the `Check` ops of
+    /// every hook whose accept path is exactly its checks fuse into
+    /// check kernels.
     pub fn new(proto: Prototype, original: HostFn, hooks: Vec<Arc<dyn Hook>>) -> Self {
         Self::new_with_telemetry(proto, original, hooks, None, None)
     }
 
     /// Like [`WrappedFn::new`], with telemetry sinks compiled into the
     /// call epilogue: the per-function `"call"` latency histogram and the
-    /// journal's call ring record on *every* path (fast or dynamic), exactly
-    /// once per call, without forcing dynamic dispatch.
+    /// journal's call ring record on *every* call, exactly once, without
+    /// a recorder hook.
     pub fn new_with_telemetry(
         proto: Prototype,
         original: HostFn,
@@ -535,7 +643,7 @@ impl WrappedFn {
             })
             .collect();
         let id = NEXT_WRAPPER_ID.fetch_add(1, Ordering::Relaxed);
-        let plan = Self::compile(&proto, &hooks, &int_widths, id);
+        let steps = Self::compile(&proto, &hooks, id);
         let telemetry = if latency.is_some() || flight.is_some() {
             Some(Telemetry { latency, flight })
         } else {
@@ -548,52 +656,71 @@ impl WrappedFn {
                 original,
                 hooks,
                 int_widths,
-                plan,
+                steps,
                 telemetry,
             }),
         }
     }
 
-    /// Fuses the pipeline's `Check` ops into a [`CallPlan`], or `None` if
-    /// any hook must stay dynamic (or the arity exceeds the fast-path
-    /// array).
-    fn compile(
-        proto: &Prototype,
-        hooks: &[Arc<dyn Hook>],
-        int_widths: &[Option<u64>],
-        wrapper_id: u32,
-    ) -> Option<CallPlan> {
+    /// Compiles the pipeline into [`Step`]s: each hook whose ops are all
+    /// fusable checks and that answers [`Hook::fusion`] contributes its
+    /// checks to the kernel of the run of fused hooks it belongs to;
+    /// every other hook is a step of its own.
+    fn compile(proto: &Prototype, hooks: &[Arc<dyn Hook>], wrapper_id: u32) -> Vec<Step> {
         let nargs = proto.params.len();
-        if nargs > MAX_FAST_ARGS {
-            return None;
-        }
-        let mut checks = Vec::new();
-        for hook in hooks {
-            let ops = hook.ops(proto);
-            if !ops.iter().all(|op| fusable(op, nargs)) {
-                return None;
-            }
-            let (on_fail, oracle) = hook.fusion()?;
-            for op in ops {
-                if let HookOp::Check { arg, pred: Some(pred), .. } = op {
-                    let oracle = Arc::clone(&oracle);
-                    checks.push(KernelCheck { arg, pred, oracle, on_fail, memo_key: None });
+        let ops: Vec<Vec<HookOp>> = hooks.iter().map(|h| h.ops(proto)).collect();
+        // Memoization must stay consistent with the pipeline's relational
+        // facts: a cached per-pointer verdict about an argument that a
+        // relational check anywhere in the pipeline relates to other
+        // arguments would let the memo answer for state the relational
+        // check re-derives each call — the disagreement the lint's
+        // memoized-relational rule flags. Suppress memo keys for every
+        // argument a relational predicate is the subject of or references.
+        let mut relational_args = BTreeSet::new();
+        for op in ops.iter().flatten() {
+            if let HookOp::Check { arg, pred: Some(pred), .. } = op {
+                if pred.is_relational() {
+                    relational_args.insert(*arg);
+                    relational_args.extend(pred.referenced_args());
                 }
             }
         }
-        let int_ops =
-            int_widths.iter().enumerate().filter_map(|(i, w)| w.map(|b| (i, b))).collect();
-        Some(CallPlan {
-            nargs,
-            int_ops,
-            kernel: fuse_kernel(checks, wrapper_id),
-            containment: containment_value(&proto.ret),
-        })
+        let mut slot = 0;
+        let mut runs: Vec<(Range<usize>, Option<Vec<KernelCheck>>)> = Vec::new();
+        for (h, (hook, ops)) in hooks.iter().zip(ops).enumerate() {
+            let oracle =
+                if ops.iter().all(|op| fusable(op, nargs)) { hook.fusion() } else { None };
+            let Some(oracle) = oracle else {
+                runs.push((h..h + 1, None));
+                continue;
+            };
+            let checks = ops.into_iter().filter_map(|op| match op {
+                HookOp::Check { arg, pred: Some(pred), .. } => {
+                    let memo = memoizable(&pred) && !relational_args.contains(&arg);
+                    let memo_key = memo.then(|| validation_memo_key(wrapper_id, slot));
+                    slot += 1;
+                    let oracle = Arc::clone(&oracle);
+                    Some(KernelCheck { hook: h, arg, pred, oracle, memo_key })
+                }
+                _ => None,
+            });
+            match runs.last_mut() {
+                Some((hooks, Some(run))) => {
+                    hooks.end = h + 1;
+                    run.extend(checks);
+                }
+                _ => runs.push((h..h + 1, Some(checks.collect()))),
+            }
+        }
+        runs.into_iter()
+            .map(|(hooks, checks)| Step { hooks, kernel: checks.map(CheckKernel::fuse) })
+            .collect()
     }
 
-    /// Whether calls go through the compiled fast path (diagnostics).
+    /// Whether every hook fused, so that an accepted call of the
+    /// prototype's arity runs no hook's `before` (diagnostics).
     pub fn has_plan(&self) -> bool {
-        self.inner.plan.is_some()
+        self.inner.steps.iter().all(|s| s.kernel.is_some())
     }
 
     /// The wrapped function's name.
@@ -613,9 +740,8 @@ impl WrappedFn {
 
     /// Builds the symbolic [`CallModel`] the wrapper-soundness lint and
     /// the substitution prover walk: every hook's [`Hook::ops`] in
-    /// pipeline order. When the pipeline fused into a check kernel, each
-    /// `Check` op also carries the memoization the fast path applies to
-    /// it, which no hook can know.
+    /// pipeline order. Each fused `Check` op also carries the
+    /// memoization its kernel applies to it, which no hook can know.
     pub fn call_model(&self) -> CallModel {
         let proto = &self.inner.proto;
         let truncations = self
@@ -625,195 +751,107 @@ impl WrappedFn {
             .enumerate()
             .filter_map(|(i, w)| w.map(|b| (i, b)))
             .collect();
-        let mut memo = self.inner.plan.as_ref().map(|p| p.kernel.memoized().into_iter());
-        let ops = self
+        let mut memo = self
             .inner
-            .hooks
+            .steps
             .iter()
-            .flat_map(|hook| {
-                hook.ops(proto).into_iter().map(|op| ModelOp {
-                    hook: hook.name(),
-                    provenance: hook.provenance().to_string(),
-                    op,
-                })
-            })
-            .map(|mut m| {
-                if let (HookOp::Check { memoized, .. }, Some(memo)) = (&mut m.op, &mut memo)
-                {
-                    *memoized = memo.next().unwrap_or(false);
+            .filter_map(|s| s.kernel.as_ref())
+            .flat_map(CheckKernel::memoized)
+            .peekable();
+        let mut ops = Vec::new();
+        for (h, hook) in self.inner.hooks.iter().enumerate() {
+            for mut op in hook.ops(proto) {
+                if let HookOp::Check { memoized, .. } = &mut op {
+                    if let Some((_, m)) = memo.next_if(|(owner, _)| *owner == h) {
+                        *memoized = m;
+                    }
                 }
-                m
-            })
-            .collect();
+                let provenance = hook.provenance().to_string();
+                ops.push(ModelOp { hook: hook.name(), provenance, op });
+            }
+        }
         CallModel { func: self.inner.name.clone(), truncations, ops }
     }
 
     /// Invokes the wrapper: prefix hooks in order, the original (unless
-    /// contained), postfix hooks in reverse order.
+    /// contained), postfix hooks in reverse order, then the telemetry
+    /// epilogue.
     ///
-    /// When a compiled call plan exists and the arity matches, the
-    /// accept path runs it instead: truncation masks and check ops from
-    /// flat arrays, arguments in a stack buffer, zero heap allocation.
-    /// Check failures and faults fall back to the dynamic pipeline (or a
-    /// precomputed rejection where the plan proved it equivalent).
+    /// A fused hook's `before` is replaced by its checks in the step's
+    /// kernel; it runs, at its own position, only when one of its checks
+    /// fails or the call's arity differs from the prototype's. Its
+    /// accept path is pure, so the result is the one running every
+    /// `before` would give. An accepted call whose hooks all fused keeps
+    /// its arguments on the stack; the first hook that runs borrows
+    /// argument and scratch vectors from a per-thread pool, so
+    /// steady-state calls allocate nothing.
     ///
     /// # Errors
     ///
     /// Faults from the original, or a [`Fault::SecurityViolation`] from a
     /// denying hook.
     pub fn call(&self, proc: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
-        match &self.inner.plan {
-            Some(plan) if args.len() == plan.nargs => self.call_fast(plan, proc, args),
-            _ => self.call_dynamic(proc, args),
-        }
-    }
-
-    /// The compiled fast path. Alloc-free until something goes wrong.
-    fn call_fast(
-        &self,
-        plan: &CallPlan,
-        proc: &mut Proc,
-        args: &[CVal],
-    ) -> Result<CVal, Fault> {
-        let errno_before = proc.errno();
-        let entry_cycles = proc.cycles();
-        // Stack-buffer copy only when a truncation op actually rewrites
-        // an argument; untruncated signatures use the caller's slice.
-        let mut buf = [CVal::Void; MAX_FAST_ARGS];
-        let norm: &[CVal] = if plan.int_ops.is_empty() {
-            args
-        } else {
-            let n = args.len();
-            buf[..n].copy_from_slice(args);
-            for &(i, bits) in &plan.int_ops {
-                buf[i] = CVal::Int(trunc_int(buf[i].as_int(), bits));
+        let inner = &*self.inner;
+        let mut inline = [CVal::Void; INLINE_ARGS];
+        let mut frame = Frame::new(&inner.name, args, &inner.int_widths, &mut inline, proc);
+        let nargs = inner.proto.params.len();
+        // Hooks that ran: all of them, unless one contained the call.
+        let mut ran = inner.hooks.len();
+        let mut early = None;
+        'steps: for step in &inner.steps {
+            let mut from = step.hooks.start;
+            while from < step.hooks.end {
+                let h = match &step.kernel {
+                    Some(kernel) if frame.args().len() == nargs => {
+                        match kernel.first_failure(proc, frame.args(), from) {
+                            Some(h) => h,
+                            None => break,
+                        }
+                    }
+                    _ => from,
+                };
+                match frame.with_cx(proc, |cx| inner.hooks[h].before(cx)) {
+                    HookAction::Continue => from = h + 1,
+                    HookAction::ShortCircuit(v) => {
+                        (ran, early) = (h + 1, Some(Ok(v)));
+                        break 'steps;
+                    }
+                    HookAction::Deny(f) => {
+                        (ran, early) = (h + 1, Some(Err(f)));
+                        break 'steps;
+                    }
+                }
             }
-            &buf[..n]
+        }
+        let mut result = match early {
+            Some(r) => r,
+            // Call the original; on a fault, poll the hooks for a
+            // healing decision.
+            None => match (inner.original)(proc, frame.args()) {
+                Ok(v) => Ok(v),
+                // Exit is the termination contract, not a fault to heal.
+                Err(f @ Fault::Exit(_)) => Err(f),
+                Err(f) => frame.with_cx(proc, |cx| self.resolve_fault(cx, f)),
+            },
         };
-        if let Some(on_fail) = self.run_kernel(plan, proc, norm) {
-            return match on_fail {
-                // The dynamic pipeline re-discovers the violation and
-                // applies policy/journaling; fused hooks had no side
-                // effects to replay, so re-entering from the top is
-                // exact. It also records telemetry — do not record here.
-                FailAction::Fallback => self.call_dynamic(proc, args),
-                FailAction::Reject => {
-                    proc.set_errno(errno::EINVAL);
-                    let result = Ok(plan.containment);
-                    self.record_telemetry(proc, norm, entry_cycles, &result);
-                    result
+        // A fused hook's `after` is a no-op, and every unfused hook that
+        // ran has pooled the frame already.
+        if frame.pooled() {
+            frame.with_cx(proc, |cx| {
+                let unfused = inner.steps.iter().rev().filter(|s| s.kernel.is_none());
+                for step in unfused.filter(|s| s.hooks.start < ran) {
+                    inner.hooks[step.hooks.start].after(cx, &mut result);
                 }
-            };
+            });
         }
-        match (self.inner.original)(proc, norm) {
-            Ok(v) => {
-                let result = Ok(v);
-                self.record_telemetry(proc, norm, entry_cycles, &result);
-                result
-            }
-            // Exit is the termination contract, not a fault to heal.
-            Err(f @ Fault::Exit(_)) => {
-                let result = Err(f);
-                self.record_telemetry(proc, norm, entry_cycles, &result);
-                result
-            }
-            Err(f) => self.heal_after_fast_fault(proc, norm, errno_before, entry_cycles, f),
-        }
-    }
-
-    /// Runs the plan's fused check kernel over the normalized arguments.
-    /// `None` means every check passed; `Some(action)` is the first
-    /// failing check's response — the same answer, in the same order,
-    /// as the interpreted walk the kernel was fused from.
-    fn run_kernel(
-        &self,
-        plan: &CallPlan,
-        proc: &mut Proc,
-        norm: &[CVal],
-    ) -> Option<FailAction> {
-        match &plan.kernel {
-            CheckKernel::NoChecks => None,
-            CheckKernel::CStrOnly { arg, memo_key, on_fail, .. } => {
-                let v = norm[*arg];
-                let ptr = v.as_ptr();
-                // CStr consults only process memory: auxiliary epoch 0.
-                if !v.is_null() && proc.validation_hit(*memo_key, ptr, 0) {
-                    return None;
-                }
-                if peek_cstr_len(proc, ptr).is_some() {
-                    proc.validation_store(*memo_key, ptr, 0);
-                    None
-                } else {
-                    Some(*on_fail)
-                }
-            }
-            CheckKernel::BufLenPair { dst, src, oracle, on_fail, .. } => {
-                // One source scan serves both fused checks: the
-                // interpreter scanned `src` for `HoldsCStrOf` on `dst`,
-                // then scanned it again for `CStr` on `src` itself. The
-                // destination bound is the exact `extent_right` edge of
-                // the containing object, so an accepted copy can never
-                // reach the canary — the overflow is prevented, not
-                // detected after the fact.
-                match peek_cstr_len(proc, norm[*src].as_ptr()) {
-                    Some(len)
-                        if oracle.extent_right(proc, norm[*dst].as_ptr()).unwrap_or(0)
-                            > len =>
-                    {
-                        None
-                    }
-                    _ => Some(*on_fail),
-                }
-            }
-            CheckKernel::Seq(seq) => {
-                for kc in seq {
-                    let v = norm[kc.arg];
-                    if let Some(key) = kc.memo_key {
-                        if !v.is_null()
-                            && proc.validation_hit(
-                                key,
-                                v.as_ptr(),
-                                kc.oracle.validation_epoch(),
-                            )
-                        {
-                            continue;
-                        }
-                    }
-                    // Branch-free lowering for the scalar predicates; the
-                    // rest dispatch on the predicate directly.
-                    let ok = match &kc.pred {
-                        SafePred::NonNull => !v.is_null(),
-                        SafePred::IntNonZero => v.as_int() != 0,
-                        SafePred::IntInRange { min, max } => {
-                            let x = v.as_int();
-                            (x >= *min) & (x <= *max)
-                        }
-                        SafePred::SizeBelow(n) => v.as_usize() < *n,
-                        SafePred::CStr => peek_cstr_len(proc, v.as_ptr()).is_some(),
-                        pred => pred.check(proc, kc.oracle.as_ref(), norm, kc.arg),
-                    };
-                    if !ok {
-                        return Some(kc.on_fail);
-                    }
-                    if let Some(key) = kc.memo_key {
-                        if !v.is_null() {
-                            proc.validation_store(
-                                key,
-                                v.as_ptr(),
-                                kc.oracle.validation_epoch(),
-                            );
-                        }
-                    }
-                }
-                None
-            }
-        }
+        self.record_telemetry(proc, frame.args(), frame.entry_cycles, &result);
+        result
     }
 
     /// Records the compiled telemetry epilogue, if any: the `"call"`
     /// latency histogram sample and the flight-recorder entry, with the
-    /// exact cycle arithmetic and argument rendering of the dynamic
-    /// recorder hooks (their XML must stay byte-identical).
+    /// exact cycle arithmetic and argument rendering of the recorder
+    /// hooks (their XML must stay byte-identical).
     fn record_telemetry(
         &self,
         proc: &Proc,
@@ -851,49 +889,17 @@ impl WrappedFn {
         }
     }
 
-    /// Cold path: the original faulted after the compiled checks passed.
-    /// Reconstructs the dynamic pipeline's fault handling — every hook
-    /// logically "ran" (their fused checks passed, side-effect-free) —
-    /// so healing/retry/substitution decisions are identical.
-    fn heal_after_fast_fault(
-        &self,
-        proc: &mut Proc,
-        norm: &[CVal],
-        errno_before: i32,
-        entry_cycles: u64,
-        first_fault: Fault,
-    ) -> Result<CVal, Fault> {
-        let (mut cx_args, cx_scratch) = take_cx_bufs();
-        cx_args.extend_from_slice(norm);
-        let mut cx = CallCx {
-            func: &self.inner.name,
-            proc,
-            args: cx_args,
-            errno_before,
-            entry_cycles,
-            scratch: cx_scratch,
-        };
-        let result = self.resolve_fault(&mut cx, &self.inner.hooks, first_fault);
-        self.record_telemetry(cx.proc, &cx.args, entry_cycles, &result);
-        let CallCx { args, scratch, .. } = cx;
-        put_cx_bufs(args, scratch);
-        result
-    }
-
-    /// Resolves a fault of the original: polls `hooks` in order for the
-    /// first decision that is not `Propagate`, re-runs the original on
-    /// `Retry` (each hook bounds its own retries by `attempt`), and
+    /// Resolves a fault of the original: polls the hooks in order for
+    /// the first decision that is not `Propagate`, re-runs the original
+    /// on `Retry` (each hook bounds its own retries by `attempt`), and
     /// stops on `Propagate`, `Substitute` or an `Exit`. Entered only
     /// after the original has faulted, so no accept path reaches it.
-    fn resolve_fault(
-        &self,
-        cx: &mut CallCx<'_>,
-        hooks: &[Arc<dyn Hook>],
-        mut fault: Fault,
-    ) -> Result<CVal, Fault> {
+    fn resolve_fault(&self, cx: &mut CallCx<'_>, mut fault: Fault) -> Result<CVal, Fault> {
         let mut attempt: u32 = 0;
         loop {
-            let decision = hooks
+            let decision = self
+                .inner
+                .hooks
                 .iter()
                 .map(|hook| hook.on_fault(cx, &fault, attempt))
                 .find(|d| !matches!(d, FaultDecision::Propagate))
@@ -914,67 +920,6 @@ impl WrappedFn {
                 }
             }
         }
-    }
-
-    /// The fully dynamic pipeline (any hook with per-call side effects).
-    fn call_dynamic(&self, proc: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
-        // ABI-faithful width truncation of integer arguments, into a
-        // recycled buffer.
-        let (mut norm, cx_scratch) = take_cx_bufs();
-        norm.extend_from_slice(args);
-        for (i, width) in self.inner.int_widths.iter().enumerate() {
-            if let (Some(b), Some(v)) = (width, norm.get(i).copied()) {
-                norm[i] = CVal::Int(trunc_int(v.as_int(), *b));
-            }
-        }
-        let errno_before = proc.errno();
-        let entry_cycles = proc.cycles();
-        let mut cx = CallCx {
-            func: &self.inner.name,
-            proc,
-            args: norm,
-            errno_before,
-            entry_cycles,
-            scratch: cx_scratch,
-        };
-        let mut ran = self.inner.hooks.len();
-        let mut early: Option<Result<CVal, Fault>> = None;
-        for (i, hook) in self.inner.hooks.iter().enumerate() {
-            match hook.before(&mut cx) {
-                HookAction::Continue => {}
-                HookAction::ShortCircuit(v) => {
-                    ran = i + 1;
-                    early = Some(Ok(v));
-                    break;
-                }
-                HookAction::Deny(f) => {
-                    ran = i + 1;
-                    early = Some(Err(f));
-                    break;
-                }
-            }
-        }
-        let mut result = match early {
-            Some(r) => r,
-            // Call the original; on a fault, poll the hooks that ran for
-            // a healing decision.
-            None => match (self.inner.original)(cx.proc, &cx.args) {
-                Ok(v) => Ok(v),
-                // Exit is the termination contract, not a fault to heal.
-                Err(f @ Fault::Exit(_)) => Err(f),
-                Err(f) => self.resolve_fault(&mut cx, &self.inner.hooks[..ran], f),
-            },
-        };
-        for hook in self.inner.hooks[..ran].iter().rev() {
-            hook.after(&mut cx, &mut result);
-        }
-        // Compiled telemetry records after every after-hook ran — the
-        // position the (first-inserted, hence last-run) dynamic recorder
-        // hooks occupied.
-        self.record_telemetry(cx.proc, &cx.args, entry_cycles, &result);
-        let CallCx { args: pooled_args, scratch: pooled_scratch, .. } = cx;
-        put_cx_bufs(pooled_args, pooled_scratch);
-        result
     }
 }
 
@@ -1215,15 +1160,15 @@ mod tests {
                 })
                 .collect()
         }
-        fn fusion(&self) -> Option<(FailAction, ArcOracle)> {
-            Some((FailAction::Fallback, Arc::new(simproc::RegionOracle::new())))
+        fn fusion(&self) -> Option<ArcOracle> {
+            Some(Arc::new(simproc::RegionOracle::new()))
         }
     }
 
     #[test]
     fn call_model_sees_through_the_fused_cstr_kernel() {
-        // The fast path memoizes the CStrOnly verdict per pointer. The
-        // hook declares `memoized: false` because it cannot know what the
+        // The kernel memoizes a CStr verdict per pointer. The hook
+        // declares `memoized: false` because it cannot know what the
         // plan compiler fused; the call model must carry the kernel's
         // memo key instead.
         let f = WrappedFn::new(
@@ -1231,7 +1176,7 @@ mod tests {
             simlibc::find_symbol("strlen").unwrap().imp,
             vec![Arc::new(PureChecks { preds: vec![(0, SafePred::CStr)] })],
         );
-        assert!(f.has_plan(), "single CStr check must compile to CStrOnly");
+        assert!(f.has_plan(), "a single CStr check must fuse");
         let model = f.call_model();
         assert_eq!(model.ops.len(), 1, "{model:?}");
         assert_eq!(model.ops[0].hook, "pure checks");
@@ -1243,7 +1188,7 @@ mod tests {
                 assert!(*null_guarded);
                 assert!(
                     *memoized,
-                    "the fused CStrOnly kernel memoizes its verdict; the model must say so"
+                    "the fused CStr check memoizes its verdict; the model must say so"
                 );
             }
             other => panic!("expected a Check op, got {other:?}"),
@@ -1289,9 +1234,9 @@ mod tests {
     }
 
     #[test]
-    fn checks_on_missing_arguments_keep_the_pipeline_dynamic() {
-        // `strlen` has one parameter; a check on a second one
-        // cannot run in the fused kernel's argument buffer.
+    fn checks_on_missing_arguments_keep_the_hook_unfused() {
+        // `strlen` has one parameter; a check on a second one cannot
+        // run in the kernel, only in the hook's own `before`.
         let f = WrappedFn::new(
             strlen_proto(),
             simlibc::find_symbol("strlen").unwrap().imp,
@@ -1338,9 +1283,8 @@ mod tests {
         // both of these encoded 16, so wrapper 1's cached verdict about
         // its argument slot 8 answered for wrapper 2's argument slot 0.
         assert_ne!(validation_memo_key(1, 8), validation_memo_key(2, 0));
-        // Disjointness over a grid much wider than MAX_FAST_ARGS — the
-        // encoding must stay collision-free even if the fast path ever
-        // admits wider signatures.
+        // Disjointness over a grid much wider than any pipeline's fused
+        // check count.
         let mut seen = std::collections::HashSet::new();
         for id in 0..64u32 {
             for slot in 0..64usize {

@@ -27,7 +27,7 @@ use typelattice::{peek_cstr_len, SafePred, SubstFamily, SubstitutionPlan};
 use crate::codegen::{CodegenCx, Fragment};
 use crate::runtime::{reject, CallCx, Hook, HookAction, HookOp};
 
-/// Runtime hook carrying one proven substitution plan. Always dynamic:
+/// Runtime hook carrying one proven substitution plan. Never fused:
 /// the rewrite consults the extent oracle and performs the bounded write
 /// itself, short-circuiting the fragile original entirely.
 #[derive(Debug)]
