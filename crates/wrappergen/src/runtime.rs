@@ -92,12 +92,6 @@ struct KernelCheck {
     memo_key: Option<u64>,
 }
 
-impl fmt::Debug for KernelCheck {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KernelCheck(arg{}: {})", self.arg + 1, self.pred)
-    }
-}
-
 impl KernelCheck {
     /// Whether the check passes on `args`, replaying a memoized verdict
     /// where one is live and memoizing a fresh pass where allowed.
@@ -158,17 +152,6 @@ enum CheckKernel {
     /// General shape: direct predicate dispatch in pipeline order,
     /// memoized where sound.
     Seq(Vec<KernelCheck>),
-}
-
-impl fmt::Debug for CheckKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckKernel::BufLenPair { dst, src, .. } => {
-                write!(f, "BufLenPair(dst=arg{}, src=arg{})", dst + 1, src + 1)
-            }
-            CheckKernel::Seq(seq) => f.debug_tuple("Seq").field(seq).finish(),
-        }
-    }
 }
 
 impl CheckKernel {
