@@ -180,7 +180,12 @@ pub fn malloc(p: &mut Proc, n: u64) -> Result<VirtAddr, Fault> {
         let top = p.read_ptr(HEAP_TOP)?;
         let end = heap_end(p);
         let (top_size, top_flags) = read_size(p, top)?;
-        debug_assert_eq!(top.add(top_size), end, "top chunk spans to arena end");
+        // glibc's sysmalloc check: a top chunk that does not end at the
+        // arena end has a forged size (an overflow reached its header),
+        // and carving it would hand out memory past the arena.
+        if top.get().checked_add(top_size) != Some(end.get()) {
+            return Err(Fault::abort("malloc(): corrupted top size"));
+        }
         if top_size >= need + MIN_CHUNK {
             write_size(p, top, need, top_flags)?;
             let new_top = top.add(need);
@@ -943,5 +948,23 @@ mod tests {
         assert_eq!(p.mem.read_u64(target).unwrap(), payload_buf.get());
         // ... and *bk = fd clobbered the payload's first word.
         assert_eq!(p.mem.read_u64(payload_buf).unwrap(), target.get() - 8);
+    }
+
+    #[test]
+    fn forged_top_size_aborts_malloc() {
+        // An overflow out of the last chunk reaches the top chunk's
+        // header (the house-of-force shape). Growing or shrinking its
+        // size must abort the next wilderness allocation, not carve
+        // memory past the arena.
+        for forge in [|s: u64| s + 0x1000, |s: u64| s - 0x40, |_| !15] {
+            let mut p = proc_with_heap();
+            let a = malloc(&mut p, 32).unwrap();
+            let top = p.read_ptr(HEAP_TOP).unwrap();
+            assert_eq!(top, a.sub(HDR).add(chunk_size_for(32)), "a is the last chunk");
+            let (size, flags) = read_size(&mut p, top).unwrap();
+            write_size(&mut p, top, forge(size), flags).unwrap();
+            let err = malloc(&mut p, 64).unwrap_err();
+            assert_eq!(err, Fault::abort("malloc(): corrupted top size"));
+        }
     }
 }

@@ -152,11 +152,11 @@ impl ArgCheckHook {
             if *pred == SafePred::Always {
                 continue;
             }
-            if pred.check(cx.proc, &self.oracle, &cx.args, i) {
+            if pred.check(cx.proc, &self.oracle, cx.args, i) {
                 continue;
             }
-            let class = ViolationClass::of(pred, cx.args[i]);
-            match apply_repair(cx.proc, &self.oracle, &mut cx.args, pred, i) {
+            let class = violation_class(pred, cx.args, i);
+            match apply_repair(cx.proc, &self.oracle, cx.args, pred, i) {
                 Some(desc) => {
                     self.journal(
                         cx.func,
@@ -181,7 +181,7 @@ impl ArgCheckHook {
         // oblivious engine manufactured marks this call as a downstream
         // consumer of tainted data.
         if let (true, Some(j)) = (self.taint, &self.journal) {
-            j.record_tainted_uses(cx.func, &cx.args);
+            j.record_tainted_uses(cx.func, cx.args);
         }
         // Repairs can shift which predicate is violated (a substituted
         // destination makes the copy fit; a clamped count makes the
@@ -195,10 +195,10 @@ impl ArgCheckHook {
                 if *pred == SafePred::Always {
                     continue;
                 }
-                if pred.check(cx.proc, &self.oracle, &cx.args, i) {
+                if pred.check(cx.proc, &self.oracle, cx.args, i) {
                     continue;
                 }
-                let class = ViolationClass::of(pred, cx.args[i]);
+                let class = violation_class(pred, cx.args, i);
                 match self.engine.resolve(cx.func, class) {
                     Policy::Observe => {
                         self.journal(
@@ -246,8 +246,7 @@ impl ArgCheckHook {
                             ret: &self.ret,
                             null_defaults: &self.contract_defaults,
                         };
-                        let args = cx.args.clone();
-                        let out = oblivious_outcome(&ocx, cx.proc, &self.oracle, &args);
+                        let out = oblivious_outcome(&ocx, cx.proc, &self.oracle, cx.args);
                         if let Some(j) = &self.journal {
                             let absorbed = match out.write {
                                 Some(w) => Absorption::Write(w),
@@ -284,7 +283,7 @@ impl ArgCheckHook {
                             return reject(cx.proc, &self.ret);
                         }
                         let heal_start = cx.proc.cycles();
-                        match apply_repair(cx.proc, &self.oracle, &mut cx.args, pred, i) {
+                        match apply_repair(cx.proc, &self.oracle, cx.args, pred, i) {
                             Some(desc) => {
                                 if let Some(stats) = &self.stats {
                                     stats.record_latency(
@@ -349,7 +348,7 @@ impl Hook for ArgCheckHook {
     fn fusion(&self) -> Option<ArcOracle> {
         // The accept path of `before` — every non-`Always` predicate
         // passes — is pure: no journal entry, no argument rewrite, no
-        // scratch, regardless of policy. So it fuses for *every* engine:
+        // saved word, regardless of policy. So it fuses for *every* engine:
         // a failing check runs `before`, which applies the policy.
         // Stage-latency recording and taint tracking are per-call side
         // effects `before` must perform on every call, accept path
@@ -496,6 +495,13 @@ impl Hook for ArgCheckHook {
     }
 }
 
+/// The class of `pred`'s violation by argument `i`. A call with fewer
+/// arguments than the hook has predicates violates the missing ones,
+/// classified as the zero word the callee would read.
+fn violation_class(pred: &SafePred, args: &[CVal], i: usize) -> ViolationClass {
+    ViolationClass::of(pred, args.get(i).copied().unwrap_or(CVal::NULL))
+}
+
 /// One journal decision without an absorption payload. Fault-path
 /// decisions have no argument, predicate or class: those render empty.
 fn decision(
@@ -628,31 +634,33 @@ impl Hook for CanaryHook {
     fn before(&self, cx: &mut CallCx<'_>) -> HookAction {
         match cx.func {
             "malloc" => {
-                let requested = cx.args.first().copied().unwrap_or(CVal::Int(0)).as_usize();
                 // A request so large that adding the guard word wraps can
                 // only fail anyway: leave it to the original (it returns
-                // NULL) rather than shrink it into a bogus success.
-                let Some(inflated) = requested.checked_add(CANARY_LEN) else {
-                    cx.scratch.push(u64::MAX);
-                    return HookAction::Continue;
-                };
-                cx.scratch.push(requested);
-                cx.args[0] = CVal::Int(inflated as i64);
+                // NULL) rather than shrink it into a bogus success. So is
+                // a call without a size to inflate.
+                cx.saved = u64::MAX;
+                if let [size, ..] = &mut *cx.args {
+                    let requested = size.as_usize();
+                    if let Some(inflated) = requested.checked_add(CANARY_LEN) {
+                        cx.saved = requested;
+                        *size = CVal::Int(inflated as i64);
+                    }
+                }
                 HookAction::Continue
             }
             "calloc" => {
-                let nmemb = cx.args.first().copied().unwrap_or(CVal::Int(0)).as_usize();
-                let size = cx.args.get(1).copied().unwrap_or(CVal::Int(0)).as_usize();
-                let total = match nmemb.checked_mul(size) {
-                    Some(t) if t.checked_add(CANARY_LEN).is_some() => t,
-                    _ => {
-                        // Leave the overflow to the original (returns NULL).
-                        cx.scratch.push(u64::MAX);
-                        return HookAction::Continue;
+                // The whole request moves into the size slot. An overflow
+                // is left to the original (it returns NULL), as is a call
+                // missing either count.
+                cx.saved = u64::MAX;
+                if let [nmemb, size, ..] = &mut *cx.args {
+                    let total = nmemb.as_usize().checked_mul(size.as_usize());
+                    if let Some(t) = total.filter(|t| t.checked_add(CANARY_LEN).is_some()) {
+                        cx.saved = t;
+                        *nmemb = CVal::Int(1);
+                        *size = CVal::Int((t + CANARY_LEN) as i64);
                     }
-                };
-                cx.scratch.push(total);
-                cx.args = vec![CVal::Int(1), CVal::Int((total + CANARY_LEN) as i64)];
+                }
                 HookAction::Continue
             }
             "free" => {
@@ -677,12 +685,12 @@ impl Hook for CanaryHook {
                 }
                 match requested.checked_add(CANARY_LEN) {
                     Some(inflated) => {
-                        cx.scratch.push(requested);
+                        cx.saved = requested;
                         if requested > 0 {
                             cx.args[1] = CVal::Int(inflated as i64);
                         }
                     }
-                    None => cx.scratch.push(u64::MAX), // let the original fail
+                    None => cx.saved = u64::MAX, // let the original fail
                 }
                 HookAction::Continue
             }
@@ -701,7 +709,7 @@ impl Hook for CanaryHook {
     fn after(&self, cx: &mut CallCx<'_>, result: &mut Result<CVal, Fault>) {
         match cx.func {
             "malloc" | "calloc" => {
-                let requested = cx.scratch.pop().unwrap_or(0);
+                let requested = cx.saved;
                 if requested == u64::MAX {
                     return; // overflow case, nothing allocated
                 }
@@ -715,7 +723,7 @@ impl Hook for CanaryHook {
                 }
             }
             "realloc" => {
-                let requested = cx.scratch.pop().unwrap_or(0);
+                let requested = cx.saved;
                 if requested == u64::MAX {
                     return; // overflow case, left to the original
                 }
@@ -808,12 +816,12 @@ impl Hook for ExectimeHook {
     }
 
     fn before(&self, cx: &mut CallCx<'_>) -> HookAction {
-        cx.scratch.push(cx.proc.cycles());
+        cx.saved = cx.proc.cycles();
         HookAction::Continue
     }
 
     fn after(&self, cx: &mut CallCx<'_>, _result: &mut Result<CVal, Fault>) {
-        let start = cx.scratch.pop().unwrap_or(cx.entry_cycles);
+        let start = cx.saved;
         self.stats.record_cycles(cx.func, cx.proc.cycles().saturating_sub(start));
     }
 }
@@ -855,12 +863,12 @@ impl Hook for FuncErrorsHook {
     }
 
     fn before(&self, cx: &mut CallCx<'_>) -> HookAction {
-        cx.scratch.push(cx.proc.errno() as u64);
+        cx.saved = cx.proc.errno() as u64;
         HookAction::Continue
     }
 
     fn after(&self, cx: &mut CallCx<'_>, _result: &mut Result<CVal, Fault>) {
-        let before = cx.scratch.pop().unwrap_or(0) as i32;
+        let before = cx.saved as i32;
         let now = cx.proc.errno();
         if now != before {
             self.stats.record_func_errno(cx.func, now);
@@ -906,12 +914,12 @@ impl Hook for CollectErrorsHook {
     }
 
     fn before(&self, cx: &mut CallCx<'_>) -> HookAction {
-        cx.scratch.push(cx.proc.errno() as u64);
+        cx.saved = cx.proc.errno() as u64;
         HookAction::Continue
     }
 
     fn after(&self, cx: &mut CallCx<'_>, _result: &mut Result<CVal, Fault>) {
-        let before = cx.scratch.pop().unwrap_or(0) as i32;
+        let before = cx.saved as i32;
         let now = cx.proc.errno();
         if now != before {
             self.stats.record_global_errno(now);
@@ -1212,6 +1220,57 @@ mod tests {
         let ev = &journal.snapshot()[0];
         assert_eq!(ev.class, "null-pointer");
         assert_eq!(ev.action, profiler::HealAction::Repaired);
+    }
+
+    #[test]
+    fn a_call_missing_a_checked_argument_gets_its_policys_answer() {
+        // `strlen()` with no argument: the missing `s` violates `CStr`
+        // and has no slot to repair, so every engine answers as for a
+        // violation without a safe repair — none may panic the host.
+        let p = proto("size_t strlen(const char *s);");
+        let cases = [
+            (PolicyEngine::containment(), Ok(CVal::Int(-1)), HealAction::Contained),
+            (PolicyEngine::healing(), Ok(CVal::Int(-1)), HealAction::Contained),
+            (
+                PolicyEngine::new(Policy::Oblivious),
+                Ok(CVal::Int(0)),
+                HealAction::Obliviated,
+            ),
+        ];
+        for (engine, expect, action) in cases {
+            let journal = Arc::new(WrapperJournal::new());
+            let hook = ArgCheckHook::with_journal(
+                vec![SafePred::CStr],
+                p.ret.clone(),
+                oracle(),
+                engine.clone(),
+                Arc::clone(&journal),
+            );
+            let f = WrappedFn::new(
+                p.clone(),
+                simlibc::find_symbol("strlen").unwrap().imp,
+                vec![Arc::new(hook)],
+            );
+            let mut proc = libc_proc();
+            assert_eq!(f.call(&mut proc, &[]), expect, "{engine:?}");
+            let events = journal.snapshot();
+            assert_eq!(events.len(), 1, "{engine:?}: {events:?}");
+            assert_eq!((events[0].arg, events[0].action), (Some(0), action), "{engine:?}");
+            assert_eq!(events[0].class, "null-pointer", "{engine:?}");
+        }
+        let hook = ArgCheckHook::new(
+            vec![SafePred::CStr],
+            p.ret.clone(),
+            oracle(),
+            PolicyEngine::terminating(),
+        );
+        let f = WrappedFn::new(
+            p,
+            simlibc::find_symbol("strlen").unwrap().imp,
+            vec![Arc::new(hook)],
+        );
+        let err = f.call(&mut libc_proc(), &[]).unwrap_err();
+        assert!(matches!(err, Fault::SecurityViolation { .. }), "{err}");
     }
 
     #[test]

@@ -326,7 +326,8 @@ fn extent_of(proc: &Proc, oracle: &GuardOracle, addr: VirtAddr, writable: bool) 
 /// Executes the repair suggested for the violated `pred` on argument `i`
 /// of `args`, using the guardian's extent knowledge. Returns a
 /// description of the applied repair for the audit journal, or `None`
-/// when no safe repair exists (the caller contains instead).
+/// when no safe repair exists (the caller contains instead) — as for an
+/// argument the call did not pass.
 ///
 /// A repair is *one step* toward the contract: the caller re-checks all
 /// predicates afterwards and re-invokes the executor while progress is
@@ -339,6 +340,9 @@ pub fn apply_repair(
     pred: &SafePred,
     i: usize,
 ) -> Option<String> {
+    if i >= args.len() {
+        return None;
+    }
     match repair_hint(pred) {
         RepairHint::MakeCStr => {
             let addr = args[i].as_ptr();

@@ -4,10 +4,14 @@
 //! fragment. A wrapped function runs its hooks' `before` parts in
 //! micro-generator order, calls the original (unless a hook contained the
 //! call), then runs `after` parts in reverse order — the same prefix/
-//! postfix discipline as Figure 3. A hook whose accept path is exactly
-//! its `Check` ops is fused: its checks run in a check kernel shared
-//! with the fused hooks next to it, and its `before` runs only when one
-//! of them fails.
+//! postfix discipline as Figure 3, walked as nested calls: each hook's
+//! step calls the rest of the pipeline between its `before` and its
+//! `after`, and keeps the word its `before` saved in its own frame. A
+//! call's whole state lives on the stack: one truncated copy of its
+//! arguments that every hook, kernel and the original read, and one
+//! saved word per hook. A hook whose accept path is exactly its `Check`
+//! ops is fused: its checks run in a check kernel shared with the fused
+//! hooks next to it, and its `before` runs only when one of them fails.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -38,6 +42,18 @@ pub enum HookAction {
     Deny(Fault),
 }
 
+impl HookAction {
+    /// The call's result when the action contains the call; `None` to
+    /// proceed.
+    fn contained(self) -> Option<Result<CVal, Fault>> {
+        match self {
+            HookAction::Continue => None,
+            HookAction::ShortCircuit(v) => Some(Ok(v)),
+            HookAction::Deny(f) => Some(Err(f)),
+        }
+    }
+}
+
 /// What a hook decides about a fault raised by the original function —
 /// the healing wrapper's last line of defence. Polled in hook order; the
 /// first non-[`FaultDecision::Propagate`] answer wins.
@@ -52,22 +68,26 @@ pub enum FaultDecision {
     Substitute(CVal),
 }
 
-/// Per-call context shared by the hooks.
+/// Per-call context shared by the hooks. It lives in
+/// [`WrappedFn::call`]'s stack frame and owns nothing on the heap.
 #[derive(Debug)]
 pub struct CallCx<'a> {
     /// The wrapped function's name.
     pub func: &'a str,
     /// The simulated process.
     pub proc: &'a mut Proc,
-    /// Arguments — hooks may rewrite them (the canary hook grows
-    /// allocation sizes).
-    pub args: Vec<CVal>,
-    /// errno at entry.
-    pub errno_before: i32,
+    /// Arguments, each narrow integer truncated to its ABI width: the one
+    /// copy that kernels, hooks, the original and the telemetry epilogue
+    /// read. Hooks may rewrite them in place (the canary hook grows
+    /// allocation sizes) but never change their count.
+    pub args: &'a mut [CVal],
     /// Cycle counter at entry (the `rdtsc(exectime_start)` sample).
     pub entry_cycles: u64,
-    /// Hook-private scratch values pushed in `before`, popped in `after`.
-    pub scratch: Vec<u64>,
+    /// The running hook's saved word: 0 when its `before` starts, and
+    /// whatever that `before` left here when its `after` starts (the
+    /// canary's requested size, the exectime start cycles, the errno
+    /// hooks' entry errno). Each hook step keeps its own.
+    pub saved: u64,
 }
 
 /// Shared handle to the extent oracle a kernel check consults.
@@ -356,13 +376,13 @@ pub trait Hook: Send + Sync {
     /// Asked only of hooks whose [`Hook::ops`] are all `Check` ops with a
     /// predicate: whether the accept path is exactly those checks
     /// passing — `before` returns [`HookAction::Continue`] without side
-    /// effects, `after` is a no-op, nothing is pushed onto the scratch
-    /// stack — and if so, which oracle the checks consult. The hook is
-    /// then fused: its checks run in the check kernel, and its `before`
-    /// runs only when one of them fails (or the call's arity keeps the
-    /// kernel from running), at the hook's own pipeline position.
-    /// `on_fault` is polled as for any hook. Default: `None` (the hook
-    /// runs its `before` on every call).
+    /// effects and `after` is a no-op, so there is no word to save — and
+    /// if so, which oracle the checks consult. The hook is then fused:
+    /// its checks run in the check kernel, and its `before` runs only
+    /// when one of them fails (or the call's arity keeps the kernel from
+    /// running), at the hook's own pipeline position; its `after` is
+    /// never called. `on_fault` is polled as for any hook. Default:
+    /// `None` (the hook runs its `before` on every call).
     fn fusion(&self) -> Option<ArcOracle> {
         None
     }
@@ -407,143 +427,25 @@ pub struct WrappedFn {
     inner: Arc<WrappedInner>,
 }
 
-/// Retained capacity of the per-thread [`CallCx`] buffer pool.
-const CX_POOL_MAX: usize = 8;
-
 thread_local! {
-    /// Recycled `(args, scratch)` vector pairs, so steady-state calls
-    /// that run hooks stop allocating (the same recycling discipline as
-    /// the address space's region buffers). Popped when a call's first
-    /// hook runs, so re-entrant wrapped calls from inside hooks get fresh
-    /// buffers, returned cleared when the call ends.
-    static CX_POOL: RefCell<Vec<(Vec<CVal>, Vec<u64>)>> = const { RefCell::new(Vec::new()) };
-
     /// Recycled render buffer for the compiled flight-recorder epilogue.
     static ARGS_BUF: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Takes a recycled `(args, scratch)` pair, or fresh empty vectors.
-fn take_cx_bufs() -> (Vec<CVal>, Vec<u64>) {
-    CX_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
-}
-
-/// Returns a `(args, scratch)` pair to the pool, cleared.
-fn put_cx_bufs(mut args: Vec<CVal>, mut scratch: Vec<u64>) {
-    args.clear();
-    scratch.clear();
-    CX_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < CX_POOL_MAX {
-            pool.push((args, scratch));
-        }
-    });
-}
-
-/// Truncated arguments a call keeps on the stack, without touching the
-/// buffer pool.
+/// Arguments a call copies onto its stack; a variadic call with more
+/// copies them into a local vector instead.
 const INLINE_ARGS: usize = 8;
 
-/// Where a call's arguments live.
-enum Args<'a> {
-    /// The caller's slice, or its truncated copy on the stack.
-    Borrowed(&'a [CVal]),
-    /// Pooled `(args, scratch)` vectors, once a hook needed a
-    /// [`CallCx`] (or the truncated arguments did not fit the stack).
-    Pooled(Vec<CVal>, Vec<u64>),
-}
-
-/// A call's arguments and its hooks' scratch stack. While only kernels
-/// run, the arguments stay where [`Frame::new`] put them; the first hook
-/// that runs moves them into pooled vectors, which a [`CallCx`] then
-/// lends to every hook.
-struct Frame<'a> {
-    func: &'a str,
-    errno_before: i32,
-    entry_cycles: u64,
-    args: Args<'a>,
-}
-
-impl<'a> Frame<'a> {
-    /// Samples errno and the cycle counter and takes `args`, each
-    /// narrow integer truncated to its ABI width (in `inline` when they
-    /// fit).
-    fn new(
-        func: &'a str,
-        args: &'a [CVal],
-        widths: &[Option<u64>],
-        inline: &'a mut [CVal; INLINE_ARGS],
-        proc: &Proc,
-    ) -> Self {
-        let (errno_before, entry_cycles) = (proc.errno(), proc.cycles());
-        let frame = |args| Frame { func, errno_before, entry_cycles, args };
-        if !widths.iter().take(args.len()).any(Option::is_some) {
-            return frame(Args::Borrowed(args));
-        }
-        let truncate = |norm: &mut [CVal]| {
-            for (v, width) in norm.iter_mut().zip(widths) {
-                if let Some(b) = width {
-                    *v = CVal::Int(trunc_int(v.as_int(), *b));
-                }
-            }
-        };
-        match inline.get_mut(..args.len()) {
-            Some(norm) => {
-                norm.copy_from_slice(args);
-                truncate(norm);
-                frame(Args::Borrowed(norm))
-            }
-            None => {
-                let (mut norm, scratch) = take_cx_bufs();
-                norm.extend_from_slice(args);
-                truncate(&mut norm);
-                frame(Args::Pooled(norm, scratch))
-            }
-        }
-    }
-
-    fn args(&self) -> &[CVal] {
-        match &self.args {
-            Args::Borrowed(args) => args,
-            Args::Pooled(args, _) => args,
-        }
-    }
-
-    /// Whether a hook has run (or the arguments did not fit the stack).
-    fn pooled(&self) -> bool {
-        matches!(self.args, Args::Pooled(..))
-    }
-
-    /// Runs `f` on a [`CallCx`] over the frame, moving the arguments
-    /// into pooled vectors first if no hook has run yet. Kept out of
-    /// line: an accepted call whose hooks all fused never gets here, and
-    /// inlining the pooling into `call` measurably slowed that call.
-    #[inline(never)]
-    fn with_cx<R>(&mut self, proc: &mut Proc, f: impl FnOnce(&mut CallCx<'_>) -> R) -> R {
-        if !self.pooled() {
-            let (mut pooled, scratch) = take_cx_bufs();
-            pooled.extend_from_slice(self.args());
-            self.args = Args::Pooled(pooled, scratch);
-        }
-        let Args::Pooled(args, scratch) = &mut self.args else { unreachable!() };
-        let mut cx = CallCx {
-            func: self.func,
-            proc,
-            args: std::mem::take(args),
-            errno_before: self.errno_before,
-            entry_cycles: self.entry_cycles,
-            scratch: std::mem::take(scratch),
-        };
-        let r = f(&mut cx);
-        (*args, *scratch) = (cx.args, cx.scratch);
-        r
-    }
-}
-
-impl Drop for Frame<'_> {
-    fn drop(&mut self) {
-        if let Args::Pooled(args, scratch) = &mut self.args {
-            put_cx_bufs(std::mem::take(args), std::mem::take(scratch));
-        }
+/// Copies `v` one 8-byte field at a time. The caller has usually just
+/// stored the argument as two words, and a whole 16-byte copy loads
+/// across both stores, which the CPU cannot forward from its store
+/// buffer: on a 2-core Xeon that stall cost a fused `strcpy` ~15 ns.
+fn copy_arg(v: &CVal) -> CVal {
+    match *v {
+        CVal::Int(x) => CVal::Int(x),
+        CVal::Ptr(p) => CVal::Ptr(p),
+        CVal::F64(f) => CVal::F64(f),
+        _ => CVal::Void,
     }
 }
 
@@ -764,10 +666,10 @@ impl WrappedFn {
     /// kernel; it runs, at its own position, only when one of its checks
     /// fails or the call's arity differs from the prototype's. Its
     /// accept path is pure, so the result is the one running every
-    /// `before` would give. An accepted call whose hooks all fused keeps
-    /// its arguments on the stack; the first hook that runs borrows
-    /// argument and scratch vectors from a per-thread pool, so
-    /// steady-state calls allocate nothing.
+    /// `before` would give. The call's state — the truncated argument
+    /// copy and each hook's saved word — lives on the stack, so the call
+    /// itself allocates nothing unless it passes more than
+    /// `INLINE_ARGS` arguments.
     ///
     /// # Errors
     ///
@@ -776,74 +678,102 @@ impl WrappedFn {
     pub fn call(&self, proc: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
         let inner = &*self.inner;
         let mut inline = [CVal::Void; INLINE_ARGS];
-        let mut frame = Frame::new(&inner.name, args, &inner.int_widths, &mut inline, proc);
-        let nargs = inner.proto.params.len();
-        // Hooks that ran: all of them, unless one contained the call.
-        let mut ran = inner.hooks.len();
-        let mut early = None;
-        'steps: for step in &inner.steps {
-            let mut from = step.hooks.start;
-            while from < step.hooks.end {
-                let h = match &step.kernel {
-                    Some(kernel) if frame.args().len() == nargs => {
-                        match kernel.first_failure(proc, frame.args(), from) {
-                            Some(h) => h,
-                            None => break,
-                        }
-                    }
-                    _ => from,
-                };
-                match frame.with_cx(proc, |cx| inner.hooks[h].before(cx)) {
-                    HookAction::Continue => from = h + 1,
-                    HookAction::ShortCircuit(v) => {
-                        (ran, early) = (h + 1, Some(Ok(v)));
-                        break 'steps;
-                    }
-                    HookAction::Deny(f) => {
-                        (ran, early) = (h + 1, Some(Err(f)));
-                        break 'steps;
-                    }
+        let mut spilled;
+        let copy = match inline.get_mut(..args.len()) {
+            Some(slots) => {
+                for (slot, v) in slots.iter_mut().zip(args) {
+                    *slot = copy_arg(v);
                 }
+                slots
+            }
+            None => {
+                spilled = args.to_vec();
+                spilled.as_mut_slice()
+            }
+        };
+        for (v, width) in copy.iter_mut().zip(&inner.int_widths) {
+            if let Some(b) = width {
+                *v = CVal::Int(trunc_int(v.as_int(), *b));
             }
         }
-        let mut result = match early {
-            Some(r) => r,
-            // Call the original; on a fault, poll the hooks for a
-            // healing decision.
-            None => match (inner.original)(proc, frame.args()) {
-                Ok(v) => Ok(v),
-                // Exit is the termination contract, not a fault to heal.
-                Err(f @ Fault::Exit(_)) => Err(f),
-                Err(f) => frame.with_cx(proc, |cx| self.resolve_fault(cx, f)),
-            },
-        };
-        // A fused hook's `after` is a no-op, and every unfused hook that
-        // ran has pooled the frame already.
-        if frame.pooled() {
-            frame.with_cx(proc, |cx| {
-                let unfused = inner.steps.iter().rev().filter(|s| s.kernel.is_none());
-                for step in unfused.filter(|s| s.hooks.start < ran) {
-                    inner.hooks[step.hooks.start].after(cx, &mut result);
-                }
-            });
-        }
-        self.record_telemetry(proc, frame.args(), frame.entry_cycles, &result);
+        let entry_cycles = proc.cycles();
+        let mut cx = CallCx { func: &inner.name, proc, args: copy, entry_cycles, saved: 0 };
+        let result = self.run(&inner.steps, &mut cx);
+        self.record_telemetry(&cx, &result);
         result
+    }
+
+    /// Runs `steps` and then the original. A kernel step runs in line; a
+    /// hook step nests the rest of the call between its hook's `before`
+    /// and `after`, holding the hook's saved word in this frame. A fused
+    /// hook's `after` is a no-op and is not called.
+    fn run(&self, steps: &[Step], cx: &mut CallCx<'_>) -> Result<CVal, Fault> {
+        let inner = &*self.inner;
+        for (i, step) in steps.iter().enumerate() {
+            let Some(kernel) = &step.kernel else {
+                let hook = &inner.hooks[step.hooks.start];
+                cx.saved = 0;
+                let contained = hook.before(cx).contained();
+                let saved = cx.saved;
+                let mut result = contained.unwrap_or_else(|| self.run(&steps[i + 1..], cx));
+                cx.saved = saved;
+                hook.after(cx, &mut result);
+                return result;
+            };
+            let mut from = step.hooks.start;
+            while from < step.hooks.end {
+                let h = if cx.args.len() == inner.proto.params.len() {
+                    match kernel.first_failure(cx.proc, cx.args, from) {
+                        Some(h) => h,
+                        None => break,
+                    }
+                } else {
+                    from
+                };
+                if let Some(contained) = inner.hooks[h].before(cx).contained() {
+                    return contained;
+                }
+                from = h + 1;
+            }
+        }
+        self.call_original(cx)
+    }
+
+    /// Calls the original. On a fault, polls the hooks in order for the
+    /// first decision that is not `Propagate`, re-runs the original on
+    /// `Retry` (each hook bounds its own retries by `attempt`), and stops
+    /// on `Propagate`, `Substitute` or an `Exit`.
+    fn call_original(&self, cx: &mut CallCx<'_>) -> Result<CVal, Fault> {
+        let mut attempt: u32 = 0;
+        loop {
+            let fault = match (self.inner.original)(cx.proc, cx.args) {
+                // Exit is the termination contract, not a fault to heal —
+                // the exit-report hook depends on seeing it.
+                r @ (Ok(_) | Err(Fault::Exit(_))) => return r,
+                Err(f) => f,
+            };
+            let decision = self
+                .inner
+                .hooks
+                .iter()
+                .map(|hook| hook.on_fault(cx, &fault, attempt))
+                .find(|d| !matches!(d, FaultDecision::Propagate))
+                .unwrap_or(FaultDecision::Propagate);
+            match decision {
+                FaultDecision::Propagate => return Err(fault),
+                FaultDecision::Substitute(v) => return Ok(v),
+                FaultDecision::Retry => attempt += 1,
+            }
+        }
     }
 
     /// Records the compiled telemetry epilogue, if any: the `"call"`
     /// latency histogram sample and the flight-recorder entry, with the
     /// exact cycle arithmetic and argument rendering of the recorder
     /// hooks (their XML must stay byte-identical).
-    fn record_telemetry(
-        &self,
-        proc: &Proc,
-        args: &[CVal],
-        entry_cycles: u64,
-        result: &Result<CVal, Fault>,
-    ) {
+    fn record_telemetry(&self, cx: &CallCx<'_>, result: &Result<CVal, Fault>) {
         let Some(t) = &self.inner.telemetry else { return };
-        let cycles = proc.cycles().saturating_sub(entry_cycles);
+        let cycles = cx.proc.cycles().saturating_sub(cx.entry_cycles);
         if let Some(stats) = &t.latency {
             stats.record_latency(&self.inner.name, "call", cycles);
         }
@@ -855,7 +785,7 @@ impl WrappedFn {
                 let mut s = b.borrow_mut();
                 s.clear();
                 s.push('(');
-                for (i, a) in args.iter().enumerate() {
+                for (i, a) in cx.args.iter().enumerate() {
                     if i > 0 {
                         s.push_str(", ");
                     }
@@ -869,39 +799,6 @@ impl WrappedFn {
                     }
                 }
             });
-        }
-    }
-
-    /// Resolves a fault of the original: polls the hooks in order for
-    /// the first decision that is not `Propagate`, re-runs the original
-    /// on `Retry` (each hook bounds its own retries by `attempt`), and
-    /// stops on `Propagate`, `Substitute` or an `Exit`. Entered only
-    /// after the original has faulted, so no accept path reaches it.
-    fn resolve_fault(&self, cx: &mut CallCx<'_>, mut fault: Fault) -> Result<CVal, Fault> {
-        let mut attempt: u32 = 0;
-        loop {
-            let decision = self
-                .inner
-                .hooks
-                .iter()
-                .map(|hook| hook.on_fault(cx, &fault, attempt))
-                .find(|d| !matches!(d, FaultDecision::Propagate))
-                .unwrap_or(FaultDecision::Propagate);
-            match decision {
-                FaultDecision::Propagate => return Err(fault),
-                FaultDecision::Substitute(v) => return Ok(v),
-                FaultDecision::Retry => {
-                    attempt += 1;
-                    match (self.inner.original)(cx.proc, &cx.args) {
-                        Ok(v) => return Ok(v),
-                        // Exit is the termination contract, not a fault
-                        // to heal — the exit-report hook depends on
-                        // seeing it.
-                        Err(f @ Fault::Exit(_)) => return Err(f),
-                        Err(f) => fault = f,
-                    }
-                }
-            }
         }
     }
 }

@@ -294,16 +294,9 @@ mod tests {
         h: &SubstituteHook,
         p: &mut simproc::Proc,
         func: &str,
-        args: Vec<CVal>,
+        mut args: Vec<CVal>,
     ) -> HookAction {
-        let mut cx = CallCx {
-            func,
-            proc: p,
-            args,
-            errno_before: 0,
-            entry_cycles: 0,
-            scratch: Vec::new(),
-        };
+        let mut cx = CallCx { func, proc: p, args: &mut args, entry_cycles: 0, saved: 0 };
         h.before(&mut cx)
     }
 

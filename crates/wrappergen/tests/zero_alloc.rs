@@ -1,7 +1,8 @@
-//! Proves the compiled fast path's acceptance criterion: `WrappedFn::call`
-//! performs **zero heap allocations** on the contained-accept path (and on
-//! the containment-reject shortcut), measured by a counting global
-//! allocator.
+//! Proves that `WrappedFn::call` performs **zero heap allocations** of
+//! its own, measured by a counting global allocator: on the fused accept
+//! path, on a containment rejection, and through hook steps — a steady
+//! security `malloc`/`free` pair and a call through the profiling
+//! wrapper's four statistics hooks.
 //!
 //! The counter is thread-local (const-initialised, so reading it never
 //! allocates) which keeps the measurement immune to allocation noise from
@@ -15,9 +16,9 @@ use cdecl::{parse_prototype, TypedefTable};
 use guardian::{CanaryRegistry, GuardOracle};
 use simlibc::testutil::libc_proc;
 use simproc::{CVal, Fault, Proc};
-use typelattice::SafePred;
+use typelattice::{RobustApi, RobustFunction, SafePred};
 use wrappergen::hooks::{ArgCheckHook, CanaryHook};
-use wrappergen::{PolicyEngine, WrappedFn};
+use wrappergen::{build_wrapper, PolicyEngine, WrappedFn, WrapperConfig, WrapperKind};
 
 struct CountingAlloc;
 
@@ -104,6 +105,77 @@ fn containment_reject_shortcut_allocates_nothing() {
     let after = alloc_count();
     assert_eq!(r, CVal::Int(-1));
     assert_eq!(after - before, 0, "containment reject path heap-allocated");
+}
+
+fn api(decls: &[(&str, SafePred)]) -> RobustApi {
+    let t = TypedefTable::with_builtins();
+    let functions = decls
+        .iter()
+        .map(|(decl, pred)| {
+            RobustFunction::new(
+                parse_prototype(decl, &t).unwrap(),
+                vec![pred.clone()],
+                true,
+            )
+        })
+        .collect();
+    RobustApi { library: "libsimc.so.1".into(), functions }
+}
+
+#[test]
+fn security_malloc_free_pair_allocates_nothing() {
+    // `malloc` runs the canary hook's `before` and `after`; `free` runs
+    // the canary hook and then its heap check in a kernel.
+    let lib = build_wrapper(
+        WrapperKind::Security,
+        &api(&[
+            ("void *malloc(size_t size);", SafePred::Always),
+            ("void free(void *ptr);", SafePred::HeapChunkOrNull),
+        ]),
+        &WrapperConfig::default(),
+    );
+    let (malloc, free) = (lib.get("malloc").unwrap(), lib.get("free").unwrap());
+    assert_eq!(malloc.hook_names(), vec!["canary check"]);
+    assert_eq!(free.hook_names(), vec!["canary check", "arg check"]);
+
+    let mut p = libc_proc();
+    let pair = |p: &mut Proc| {
+        let ptr = malloc.call(p, &[CVal::Int(64)]).unwrap();
+        assert!(!ptr.is_null());
+        assert_eq!(free.call(p, &[ptr]).unwrap(), CVal::Void);
+    };
+    pair(&mut p);
+
+    let before = alloc_count();
+    pair(&mut p);
+    let after = alloc_count();
+    assert_eq!(after - before, 0, "security malloc/free pair heap-allocated");
+}
+
+#[test]
+fn profiling_hooks_allocate_nothing() {
+    let lib = build_wrapper(
+        WrapperKind::Profiling,
+        &api(&[("size_t strlen(const char *s);", SafePred::CStr)]),
+        &WrapperConfig::default(),
+    );
+    let strlen = lib.get("strlen").unwrap();
+    assert_eq!(
+        strlen.hook_names(),
+        vec!["function exectime", "collect errors", "func error", "call counter"]
+    );
+
+    let mut p = libc_proc();
+    let s = p.alloc_cstr("four");
+    // The first call creates the function's statistics entry.
+    assert_eq!(strlen.call(&mut p, &[CVal::Ptr(s)]).unwrap(), CVal::Int(4));
+
+    let before = alloc_count();
+    let r = strlen.call(&mut p, &[CVal::Ptr(s)]).unwrap();
+    let after = alloc_count();
+    assert_eq!(r, CVal::Int(4));
+    assert_eq!(after - before, 0, "profiling hook steps heap-allocated");
+    assert_eq!(lib.stats.snapshot().per_func["strlen"].calls, 2);
 }
 
 #[test]
