@@ -19,18 +19,24 @@
 //! Bulk work therefore goes by runs, not bytes: [`AddressSpace::run_at`]
 //! and [`AddressSpace::run_before`] hand out the accessible bytes up to a
 //! region's edge in one lookup, and [`AddressSpace::fill`] and
-//! [`AddressSpace::copy_within`] write a whole run with one dirty-range
+//! [`AddressSpace::copy_within`] write a whole run with one dirty-chunk
 //! update and one epoch bump. `Proc`'s fuel-metered run primitives
 //! (`fill`, `copy_forward`, `copy_cstr`, `copy_backward`, `scan`), on
 //! which simlibc's string and memory functions are built, pay a few
 //! lookups per run instead of one or two per byte.
 //!
-//! Region backing stores are recycled through a thread-local buffer pool:
-//! each region tracks the dirty byte-range actually written, and on unmap
-//! (or process teardown) only that range is re-zeroed before the buffer
-//! returns to the pool. A fault-injection campaign that builds a fresh
-//! multi-megabyte process image per test case therefore pays for the bytes
-//! it touched, not for the mapped size.
+//! Region backing stores are recycled through a thread-local buffer pool.
+//! Each buffer is split into at most 128 equal chunks (a power of two, at
+//! least 256 bytes: 8 KiB for a 1 MiB segment), and a two-word bitmap
+//! records which chunks were written. On unmap (or process teardown) only
+//! the marked chunks are re-zeroed before the buffer returns to the pool,
+//! so a fault-injection campaign that builds a fresh multi-megabyte
+//! process image per test case pays for the chunks it touched, not for the
+//! mapped size. A single written span would not keep that promise: every
+//! process writes the ctype table into the last 514 bytes of `rodata`, and
+//! the first string literal a test case places lands at its first byte,
+//! so the span between them is the whole segment. The bitmap marks two
+//! chunks for that pair.
 //!
 //! The pool holds buffers only at the lengths `map` asked for. A buffer
 //! that [`AddressSpace::grow`] extended past its mapped length is freed on
@@ -58,9 +64,17 @@ thread_local! {
     static BUF_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A region backing store: a zero-initialised byte buffer that remembers
-/// the dirty range actually written, so it can be re-zeroed in O(dirty)
-/// and recycled through the thread-local pool.
+/// Words in [`PoolBuf::dirty`]; each bit marks one chunk of the buffer.
+const DIRTY_WORDS: usize = 2;
+/// Chunks per buffer.
+const CHUNKS: usize = DIRTY_WORDS * 64;
+/// The smallest chunk, as a shift: buffers below 32 KiB get 256-byte
+/// chunks and use fewer than [`CHUNKS`] of them.
+const MIN_CHUNK_SHIFT: u32 = 8;
+
+/// A region backing store: a zero-initialised byte buffer that marks the
+/// chunks written, so it can be re-zeroed chunk by chunk and recycled
+/// through the thread-local pool.
 ///
 /// Invariant: every buffer in [`BUF_POOL`] is entirely zero.
 #[derive(Clone)]
@@ -68,9 +82,12 @@ struct PoolBuf {
     buf: Vec<u8>,
     /// The length `map` asked for; the buffer is pooled only at it.
     mapped_len: usize,
-    dirty_lo: usize,
-    /// Exclusive; `dirty_lo >= dirty_hi` means clean.
-    dirty_hi: usize,
+    /// Bit `c` set: chunk `c` (bytes `c << chunk_shift` up to the next
+    /// chunk) may hold a non-zero byte.
+    dirty: [u64; DIRTY_WORDS],
+    /// log2 of the chunk size, chosen in [`PoolBuf::zeroed`] so that
+    /// [`CHUNKS`] chunks cover `mapped_len`.
+    chunk_shift: u32,
 }
 
 impl PoolBuf {
@@ -85,7 +102,7 @@ impl PoolBuf {
         } else {
             None
         };
-        // Only a recycled buffer can hold stale bytes (a dirty range the
+        // Only a recycled buffer can hold stale bytes (a written chunk the
         // drop path missed); a fresh one is zero by construction.
         let buf = match pooled {
             Some(buf) => {
@@ -94,7 +111,13 @@ impl PoolBuf {
             }
             None => vec![0; len],
         };
-        PoolBuf { buf, mapped_len: len, dirty_lo: 0, dirty_hi: 0 }
+        let chunk_shift = len.div_ceil(CHUNKS).next_power_of_two().trailing_zeros();
+        PoolBuf {
+            buf,
+            mapped_len: len,
+            dirty: [0; DIRTY_WORDS],
+            chunk_shift: chunk_shift.max(MIN_CHUNK_SHIFT),
+        }
     }
 
     fn len(&self) -> usize {
@@ -105,20 +128,34 @@ impl PoolBuf {
         &self.buf
     }
 
-    /// Mutable view of `off..off + n`, widening the dirty range to cover it.
+    /// Mutable view of `off..off + n`, marking every chunk it overlaps.
+    /// Bytes a grown buffer holds past `mapped_len` mark the last chunk:
+    /// such a buffer is freed, never re-zeroed.
     fn slice_mut(&mut self, off: usize, n: usize) -> &mut [u8] {
-        if self.dirty_lo >= self.dirty_hi {
-            self.dirty_lo = off;
-            self.dirty_hi = off + n;
+        let first = (off >> self.chunk_shift).min(CHUNKS - 1);
+        let last = ((off + n.max(1) - 1) >> self.chunk_shift).min(CHUNKS - 1);
+        if first == last {
+            self.mark(first);
         } else {
-            self.dirty_lo = self.dirty_lo.min(off);
-            self.dirty_hi = self.dirty_hi.max(off + n);
+            self.mark_run(first, last);
         }
         &mut self.buf[off..off + n]
     }
 
+    fn mark(&mut self, chunk: usize) {
+        self.dirty[chunk / 64] |= 1 << (chunk % 64);
+    }
+
+    /// Marks chunks `first..=last`: a write that crosses a chunk boundary.
+    #[cold]
+    fn mark_run(&mut self, first: usize, last: usize) {
+        for chunk in first..=last {
+            self.mark(chunk);
+        }
+    }
+
     /// Copies `src..src + n` to `dst..dst + n` (the ranges may overlap),
-    /// widening the dirty range to cover the destination.
+    /// marking the destination's chunks.
     fn copy_within(&mut self, src: usize, dst: usize, n: usize) {
         self.slice_mut(dst, n);
         self.buf.copy_within(src..src + n, dst);
@@ -131,6 +168,21 @@ impl PoolBuf {
         debug_assert!(new_len >= self.buf.len());
         self.buf.resize(new_len, 0);
     }
+
+    /// The byte ranges of the marked chunks, in ascending order.
+    fn dirty_chunks(&self) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (shift, len) = (self.chunk_shift, self.buf.len());
+        self.dirty.into_iter().enumerate().flat_map(move |(w, mut bits)| {
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(c << shift..((c + 1) << shift).min(len))
+            })
+        })
+    }
 }
 
 impl Drop for PoolBuf {
@@ -138,9 +190,8 @@ impl Drop for PoolBuf {
         if self.buf.len() < POOL_MIN_LEN || self.buf.len() != self.mapped_len {
             return;
         }
-        if self.dirty_hi > self.dirty_lo {
-            let hi = self.dirty_hi.min(self.buf.len());
-            self.buf[self.dirty_lo..hi].fill(0);
+        for chunk in self.dirty_chunks() {
+            self.buf[chunk].fill(0);
         }
         let buf = std::mem::take(&mut self.buf);
         BUF_POOL.with(|p| {
@@ -1196,6 +1247,49 @@ mod tests {
         assert_eq!(pooled(pool_lens()), before - 1, "map must reuse the pooled buffer");
         let back = m.read_bytes(base, std_len as u64).unwrap();
         assert!(back.iter().all(|&b| b == 0), "reused buffer not zeroed");
+    }
+
+    #[test]
+    fn first_and_last_byte_rezero_two_chunks_of_a_segment() {
+        let base = VirtAddr::new(0x60_0000);
+        let len = 0x10_0000;
+        let mut m = AddressSpace::new();
+        m.map(base, len as u64, Prot::RW, "rodata").unwrap();
+        // The ctype table at the segment's end, a literal at its start.
+        m.write_u8(base, 1).unwrap();
+        m.write_u8(base.add(len as u64 - 1), 1).unwrap();
+        let data = &m.regions[0].data;
+        assert_eq!(1 << data.chunk_shift, 8192, "1 MiB splits into 8 KiB chunks");
+        assert_eq!(data.dirty.map(u64::count_ones).iter().sum::<u32>(), 2);
+        let chunks: Vec<_> = data.dirty_chunks().collect();
+        assert_eq!(chunks, [0..8192, len - 8192..len]);
+    }
+
+    #[test]
+    fn pool_never_holds_more_than_its_cap() {
+        let pool_len = || BUF_POOL.with(|p| p.borrow().len());
+        BUF_POOL.with(|p| p.borrow_mut().clear());
+        let len = POOL_MIN_LEN * 2;
+        let bases: Vec<_> = (0..POOL_MAX_BUFS + 4)
+            .map(|i| VirtAddr::new(0x10_0000 * (i as u64 + 1)))
+            .collect();
+        let map_all = |m: &mut AddressSpace| {
+            for &b in &bases {
+                m.map(b, len as u64, Prot::RW, "seg").unwrap();
+                m.write_u8(b.add(7), 0xAB).unwrap();
+            }
+        };
+        let mut m = AddressSpace::new();
+        map_all(&mut m);
+        for &b in &bases {
+            assert!(m.unmap(b));
+            assert!(pool_len() <= POOL_MAX_BUFS, "pool holds {} buffers", pool_len());
+        }
+        assert_eq!(pool_len(), POOL_MAX_BUFS);
+        // Process teardown drops every region at once, under the same cap.
+        map_all(&mut m);
+        drop(m);
+        assert_eq!(pool_len(), POOL_MAX_BUFS);
     }
 
     #[test]

@@ -252,6 +252,76 @@ proptest! {
         }
     }
 
+    /// The buffer pool's invariant through every write path: however a
+    /// process wrote its regions, the buffers they return to the pool come
+    /// back all-zero. Regions are 4 KiB or more (the pool's floor), of
+    /// distinct fixed lengths, so each remap takes back the very buffer its
+    /// region dirtied; three are contiguous, so writes and copies cross
+    /// region edges, and one is read-only, so checked writes fault and
+    /// pokes do not. Offsets cluster at power-of-two boundaries from 256
+    /// bytes (the smallest chunk) to 256 KiB, and at each region's first
+    /// and last byte.
+    #[test]
+    fn pooled_buffers_return_all_zero_after_any_writes(
+        ops in prop::collection::vec(
+            (0u8..6, 0usize..4, (0u8..4, 8u32..19, 0u64..8, 0u64..16), 0u64..0x5000, 1u8..=255),
+            1..48,
+        ),
+    ) {
+        const LENS: [u64; 4] = [0x1234, 0x2_0077, 0x10_0000, 0x20_0000];
+        const PROTS: [Prot; 4] = [Prot::RW, Prot::RW, Prot::RW, Prot::R];
+        let mut bases = [VirtAddr::new(0x10_0000); 4];
+        for i in 1..3 {
+            bases[i] = bases[i - 1].add(LENS[i - 1]);
+        }
+        bases[3] = bases[2].add(LENS[2] + 0x1000);
+        let map_all = |m: &mut AddressSpace| {
+            for i in 0..4 {
+                m.map(bases[i], LENS[i], PROTS[i], "seg").unwrap();
+            }
+        };
+        let backing = |m: &AddressSpace| bases.map(|b| m.peek_slice(b).unwrap().as_ptr());
+        let mut m = AddressSpace::new();
+        map_all(&mut m);
+        let dirtied = backing(&m);
+        for (kind, r, (near, pow, k, delta), n, v) in ops {
+            let len = LENS[r];
+            let off = match near {
+                0 => 0,
+                1 => len - 1,
+                // Starting near a boundary,
+                2 => ((k << pow) + delta).saturating_sub(8) % len,
+                // or ending near one.
+                _ => (k << pow).wrapping_sub(n).wrapping_add(delta) % len,
+            };
+            let addr = bases[r].add(off);
+            let n = if kind == 0 { 1 } else { n };
+            let bytes = vec![v; n as usize];
+            let next = (r + 1) % 4;
+            // Faults are fine: only what was written has to be re-zeroed.
+            match kind {
+                0 => drop(m.write_u8(addr, v)),
+                1 => drop(m.write_bytes(addr, &bytes)),
+                2 => drop(m.poke_bytes(addr, &bytes)),
+                3 => drop(m.fill(addr, n, v)),
+                // Copy within the region, from a spot it may have written,
+                4 => drop(m.copy_within(addr, bases[r].add(off * 7 % len), n)),
+                // or out of the next region.
+                _ => drop(m.copy_within(addr, bases[next].add(off % LENS[next]), n)),
+            }
+        }
+        for &b in &bases {
+            prop_assert!(m.unmap(b));
+        }
+        map_all(&mut m);
+        prop_assert_eq!(backing(&m), dirtied, "remap must reuse the pooled buffers");
+        for i in 0..4 {
+            let back = m.peek_bytes(bases[i], LENS[i]).unwrap();
+            let stale = back.iter().position(|&b| b != 0);
+            prop_assert!(stale.is_none(), "region {} byte {:#x} not re-zeroed", i, stale.unwrap_or(0));
+        }
+    }
+
     #[test]
     fn stack_frames_nest_and_unwind(depths in prop::collection::vec(1u64..64, 1..12)) {
         let mut p = Proc::new();
