@@ -7,7 +7,11 @@
 //! it), the process's `cycles()` and a digest of every byte the script can
 //! touch. The script covers plain success, a segmentation fault at a
 //! region edge after partial writes, a hang at a fuel limit on either byte
-//! step of a copy, and overlapping `memmove`/`strcpy`.
+//! step of a copy, and overlapping `memmove`/`strcpy`. Its `qsort` rows
+//! swap elements inside one region and across a region edge, fault on a
+//! second element that is read-only or runs into unmapped memory, run out
+//! of fuel on each of a swap's four charges, and sort elements of size 0
+//! and of sizes near `SIZE_MAX`.
 //!
 //! Fuel is the fault injector's hang detector and the profiler's cycle
 //! counter, so however these functions are implemented, every line of the
@@ -17,12 +21,14 @@ use healers::simlibc;
 use healers::simproc::{layout, CVal, Fault, Proc, Prot, VirtAddr};
 
 /// Two contiguous writable regions, then a contiguous read-only one
-/// followed by an unmapped gap, then a no-access guard region.
+/// followed by an unmapped gap, then a no-access guard region, then a
+/// small writable region followed by unmapped memory.
 const A: u64 = 0x0100_0000;
 const B: u64 = A + 0x40;
 const R: u64 = B + 0x40;
 const R_END: u64 = R + 0x40;
 const GUARD: u64 = R_END + 0x40;
+const W: u64 = GUARD + 0x40;
 
 /// FNV-1a over a byte slice, chained from `h`.
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
@@ -65,18 +71,37 @@ fn int(v: i64) -> CVal {
     CVal::Int(v)
 }
 
+/// `qsort` comparator: the first bytes of the two elements, compared.
+fn cmp_byte(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
+    let a = p.read_u8(args[0].as_ptr())?;
+    let b = p.read_u8(args[1].as_ptr())?;
+    Ok(CVal::Int(i64::from(a) - i64::from(b)))
+}
+
+/// `qsort` comparator that reads nothing and orders every pair the wrong
+/// way round, so each comparison is followed by a swap.
+fn cmp_always_after(_: &mut Proc, _: &[CVal]) -> Result<CVal, Fault> {
+    Ok(CVal::Int(1))
+}
+
 fn transcript() -> String {
     let mut p = simlibc::testutil::libc_proc();
     p.mem.map(VirtAddr::new(A), 0x40, Prot::RW, "a").unwrap();
     p.mem.map(VirtAddr::new(B), 0x40, Prot::RW, "b").unwrap();
     p.mem.map(VirtAddr::new(R), 0x40, Prot::R, "ro").unwrap();
     p.mem.map(VirtAddr::new(GUARD), 0x20, Prot::NONE, "guard").unwrap();
+    p.mem.map(VirtAddr::new(W), 0x20, Prot::RW, "w").unwrap();
     // Unterminated read-only bytes up to the gap.
     assert!(p.mem.poke_bytes(VirtAddr::new(R), &[b'r'; 0x40]));
     assert!(p.mem.poke_bytes(VirtAddr::new(A), b"abcdefgh\0"));
     let msg = p.alloc_cstr("metered string, 29 bytes long").get();
     let short = p.alloc_cstr("ab").get();
     let heap = simlibc::heap::malloc(&mut p, 64).unwrap().get();
+    let by_byte = ptr(p.register_host_fn("cmp_byte", cmp_byte).get());
+    let always = ptr(p.register_host_fn("cmp_always_after", cmp_always_after).get());
+    // Two 8-byte elements whose first bytes ('r', ' ') are out of order
+    // once `a` holds `msg`.
+    let swap_a10 = vec![ptr(A + 10), int(2), int(8), by_byte];
 
     // (label, function, arguments, fuel budget beyond the current cycles)
     let script: Vec<(&str, &str, Vec<CVal>, Option<u64>)> = vec![
@@ -132,6 +157,35 @@ fn transcript() -> String {
         ("strndup msg 6", "strndup", vec![ptr(msg), int(6)], None),
         ("strndup ro 16", "strndup", vec![ptr(R), int(16)], None),
         ("strndup off ro", "strndup", vec![ptr(R), int(0x100)], None),
+        ("reset a", "memcpy", vec![ptr(A), ptr(msg), int(30)], None),
+        ("qsort a bytes", "qsort", vec![ptr(A), int(12), int(1), by_byte], None),
+        ("qsort a words", "qsort", vec![ptr(A + 0x10), int(4), int(8), by_byte], None),
+        ("qsort a|b words", "qsort", vec![ptr(A + 0x28), int(4), int(8), by_byte], None),
+        ("memset b tail", "memset", vec![ptr(B + 0x30), int(0x7f), int(0x10)], None),
+        ("qsort b|ro", "qsort", vec![ptr(B + 0x30), int(2), int(0x10), by_byte], None),
+        ("memset b last", "memset", vec![ptr(B + 0x38), int(0x7f), int(8)], None),
+        (
+            "qsort b|ro straddle",
+            "qsort",
+            vec![ptr(B + 0x38), int(2), int(0x10), by_byte],
+            None,
+        ),
+        ("memset w", "memset", vec![ptr(W + 8), int(0x7f), int(1)], None),
+        ("qsort w|gap", "qsort", vec![ptr(W + 8), int(2), int(0x10), by_byte], None),
+        ("reset a", "memcpy", vec![ptr(A), ptr(msg), int(30)], None),
+        // One swap of two 8-byte elements after 17 cycles of entry and
+        // comparison: 2 fuel for each of its two reads and two writes.
+        ("qsort hang on read a", "qsort", swap_a10.clone(), Some(18)),
+        ("qsort hang on read b", "qsort", swap_a10.clone(), Some(20)),
+        ("qsort hang on write a", "qsort", swap_a10.clone(), Some(22)),
+        ("qsort hang on write b", "qsort", swap_a10.clone(), Some(24)),
+        ("reset a", "memcpy", vec![ptr(A), ptr(msg), int(30)], None),
+        ("qsort one swap", "qsort", swap_a10, Some(25)),
+        ("qsort size 0", "qsort", vec![ptr(A), int(4), int(0), always], None),
+        ("qsort size 0 hang", "qsort", vec![ptr(GUARD), int(2), int(0), always], Some(17)),
+        ("qsort size max", "qsort", vec![ptr(A), int(2), int(-1), always], None),
+        ("qsort size 2^63", "qsort", vec![ptr(B), int(2), int(i64::MIN), always], None),
+        ("qsort size max hang", "qsort", vec![ptr(A), int(2), int(-8), always], Some(100)),
     ];
 
     let mut out = String::new();
@@ -198,6 +252,28 @@ const EXPECTED: &str = "\
 44 strndup msg 6: ptr 0x000008000090 | cycles 2147 | digest 12f5d5301c67118b
 45 strndup ro 16: ptr 0x0000080000b0 | cycles 2179 | digest 7e0c29c1caf3e2da
 46 strndup off ro: fault: segmentation fault: read at 0x0000010000c0 in memory access | cycles 2249 | digest 7e0c29c1caf3e2da
+47 reset a: ptr 0x000001000000 | cycles 2314 | digest a6e76c29c4c5618c
+48 qsort a bytes: void | cycles 2895 | digest ce6059e3659d178e
+49 qsort a words: void | cycles 2964 | digest d488d9ed57ce67ce
+50 qsort a|b words: void | cycles 3061 | digest c4cbe5ea4a7632d2
+51 memset b tail: ptr 0x000001000070 | cycles 3082 | digest 2407bd6175aceac0
+52 qsort b|ro: fault: segmentation fault: write at 0x000001000080 in memory access | cycles 3111 | digest 4777a6cd77aedd10
+53 memset b last: ptr 0x000001000078 | cycles 3124 | digest 591ae550abd75348
+54 qsort b|ro straddle: fault: segmentation fault: write at 0x000001000080 in memory access | cycles 3150 | digest 591ae550abd75348
+55 memset w: ptr 0x000001000148 | cycles 3156 | digest 591ae550abd75348
+56 qsort w|gap: fault: segmentation fault: read at 0x000001000160 in memory access | cycles 3179 | digest 591ae550abd75348
+57 reset a: ptr 0x000001000000 | cycles 3244 | digest a3dcef3b46f78d28
+58 qsort hang on read a: fault: hang: execution budget exhausted | cycles 3263 | digest a3dcef3b46f78d28
+59 qsort hang on read b: fault: hang: execution budget exhausted | cycles 3284 | digest a3dcef3b46f78d28
+60 qsort hang on write a: fault: hang: execution budget exhausted | cycles 3307 | digest a3dcef3b46f78d28
+61 qsort hang on write b: fault: hang: execution budget exhausted | cycles 3332 | digest cd2871d7a5d10b78
+62 reset a: ptr 0x000001000000 | cycles 3397 | digest a3dcef3b46f78d28
+63 qsort one swap: void | cycles 3422 | digest 9cb61e03b81fac5c
+64 qsort size 0: void | cycles 3511 | digest 9cb61e03b81fac5c
+65 qsort size 0 hang: fault: hang: execution budget exhausted | cycles 3529 | digest 9cb61e03b81fac5c
+66 qsort size max: fault: segmentation fault: read at 0x0000010000c0 in memory access | cycles 2305843009213697496 | digest 9cb61e03b81fac5c
+67 qsort size 2^63: fault: segmentation fault: read at 0x0000010000c0 in memory access | cycles 3458764513820544488 | digest 9cb61e03b81fac5c
+68 qsort size max hang: fault: hang: execution budget exhausted | cycles 5764607523034238455 | digest 9cb61e03b81fac5c
 ";
 
 #[test]
