@@ -37,11 +37,8 @@ pub fn qsort(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
             if cmp.as_int() <= 0 {
                 break;
             }
-            // Swap elements a and b through a host-side temp.
-            let va = p.read_bytes(a, size)?;
-            let vb = p.read_bytes(b, size)?;
-            p.write_bytes(a, &vb)?;
-            p.write_bytes(b, &va)?;
+            // `b` is `a + size`: swap the neighbours.
+            p.swap_adjacent(a, size)?;
             j -= 1;
         }
     }

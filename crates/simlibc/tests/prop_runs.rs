@@ -2,7 +2,9 @@
 //! `copy_forward`, `copy_cstr`, `copy_backward`, `scan`, `read_cstr`) and
 //! of the simlibc functions built on them, each against the byte loop of
 //! `read_u8`/`write_u8` it replaced. The byte loops live here, as the
-//! reference.
+//! reference. `Proc::swap_adjacent` and `qsort` are checked the same way
+//! against the four calls a swap used to be: two `read_bytes`, then two
+//! `write_bytes`.
 //!
 //! Every case lays out adjacent regions with mixed protections and
 //! unmapped gaps, fills them with bytes of varying NUL density, and picks
@@ -454,6 +456,84 @@ fn ref_memchr(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
     })
 }
 
+/// The swap `Proc::swap_adjacent` stands for: both elements read, then
+/// each written into the other's place.
+fn ref_swap(p: &mut Proc, a: VirtAddr, size: u64) -> Result<(), Fault> {
+    let va = p.read_bytes(a, size)?;
+    let vb = p.read_bytes(a.add(size), size)?;
+    p.write_bytes(a, &vb)?;
+    p.write_bytes(a.add(size), &va)
+}
+
+/// `qsort`'s insertion sort with [`ref_swap`] for its swaps.
+fn ref_qsort(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
+    enter(p)?;
+    let base = arg(args, 0).as_ptr();
+    let nmemb = arg(args, 1).as_usize();
+    let size = arg(args, 2).as_usize();
+    let compar = arg(args, 3).as_ptr();
+    if nmemb <= 1 {
+        if nmemb == 1 {
+            p.read_bytes(base, size)?;
+        }
+        return Ok(CVal::Void);
+    }
+    for i in 1..nmemb {
+        let mut j = i;
+        while j > 0 {
+            let a = base.add((j - 1).wrapping_mul(size));
+            let b = base.add(j.wrapping_mul(size));
+            let cmp = p.call_function(compar, &[CVal::Ptr(a), CVal::Ptr(b)])?;
+            if cmp.as_int() <= 0 {
+                break;
+            }
+            ref_swap(p, a, size)?;
+            j -= 1;
+        }
+    }
+    Ok(CVal::Void)
+}
+
+/// Comparator on the elements' first bytes.
+fn cmp_byte(p: &mut Proc, args: &[CVal]) -> Result<CVal, Fault> {
+    let a = p.read_u8(args[0].as_ptr())?;
+    let b = p.read_u8(args[1].as_ptr())?;
+    Ok(CVal::Int(i64::from(a) - i64::from(b)))
+}
+
+/// Comparator that reads nothing and asks for a swap every time.
+fn cmp_always_after(_: &mut Proc, _: &[CVal]) -> Result<CVal, Fault> {
+    Ok(CVal::Int(1))
+}
+
+/// Element sizes for swaps: most fit a small region twice, some do not,
+/// and some are large enough that `2 × size` overflows. The fuel of one
+/// of a swap's four charges, `1 + size / 8`, is at most 2^61, so the four
+/// together never overflow.
+fn swap_size() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        6 => 0u64..24,
+        2 => 0u64..300,
+        1 => (0usize..6).prop_map(|i| {
+            [u64::MAX, u64::MAX - 7, 1 << 63, (1 << 63) - 1, (1 << 63) + 9, 1 << 62][i]
+        }),
+    ]
+}
+
+/// Fuel limits that land before, on and after each of a swap's four
+/// charges of `each` fuel, and no limit.
+fn swap_budgets(each: u64) -> Vec<Option<u64>> {
+    let mut out = vec![None];
+    if each <= 16 {
+        out.extend((0..=4 * each + 1).map(Some));
+    } else {
+        for k in 0..=4 {
+            out.extend([k * each - u64::from(k > 0), k * each, k * each + 1].map(Some));
+        }
+    }
+    out
+}
+
 /// Each converted function, its reference, and its arguments built from
 /// a case's destination, source, length and byte.
 type ArgsOf = fn(CVal, CVal, CVal, CVal) -> Vec<CVal>;
@@ -578,6 +658,110 @@ proptest! {
             let imp = simlibc::find_impl(name).expect("symbol");
             check(name, &base, &case, |p| reference(p, &args), |p| imp(p, &args))?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn swap_adjacent_matches_four_calls(case in case(), size in swap_size()) {
+        let a = VirtAddr::new(case.src);
+        let base = build(&case);
+        for fuel in swap_budgets(1 + size / 8) {
+            let case = Case { n: size, fuel, ..case.clone() };
+            check(
+                "swap_adjacent",
+                &base,
+                &case,
+                |p| ref_swap(p, a, size).map(|_| CVal::Void),
+                |p| p.swap_adjacent(a, size).map(|_| CVal::Void),
+            )?;
+        }
+    }
+
+    #[test]
+    fn qsort_matches_four_call_swaps(
+        case in case(),
+        nmemb in prop_oneof![3 => 0u64..6, 1 => Just(u64::MAX)],
+        size in swap_size(),
+        by_byte in any::<bool>(),
+    ) {
+        let mut base = build(&case);
+        let compar = if by_byte {
+            base.register_host_fn("cmp_byte", cmp_byte)
+        } else {
+            base.register_host_fn("cmp_always_after", cmp_always_after)
+        };
+        // Without a limit, an all-swapping sort of `SIZE_MAX` elements
+        // would not end.
+        let case = Case { fuel: Some(case.fuel.unwrap_or(400)), ..case };
+        let args = [CVal::Ptr(VirtAddr::new(case.src)), CVal::Int(nmemb as i64),
+            CVal::Int(size as i64), CVal::Ptr(compar)];
+        let imp = simlibc::find_impl("qsort").expect("symbol");
+        check("qsort", &base, &case, |p| ref_qsort(p, &args), |p| imp(p, &args))?;
+    }
+}
+
+/// The swap cases must reach every path: the in-place swap, a hang on
+/// each of the four charges, a read fault on either element, a write
+/// fault on either element, and swaps across a region edge.
+#[test]
+fn generated_swaps_cover_the_edges() {
+    let mut rng = proptest::test_runner::TestRng::from_name("prop_runs swap coverage");
+    let mut hang_on = [0; 4];
+    let [mut in_place, mut crossing, mut overflowing] = [0; 3];
+    let [mut segv_read_a, mut segv_read_b, mut segv_write_a, mut segv_write_b] = [0; 4];
+    for _ in 0..2048 {
+        let (case, size) = (case(), swap_size()).generate(&mut rng);
+        let a = VirtAddr::new(case.src);
+        let each = 1 + size / 8;
+        overflowing += u64::from(size.checked_mul(2).is_none());
+        let base = build(&case);
+        if base.clone().mem.swap_adjacent(a, size) && size > 0 {
+            in_place += 1;
+        }
+        for fuel in swap_budgets(each) {
+            let out = run(&base, &Case { fuel, ..case.clone() }, |p| {
+                p.swap_adjacent(a, size).map(|_| CVal::Void)
+            });
+            let charges = (out.cycles - base.cycles()) / each;
+            match out.result {
+                Ok(_) if size > 0 => {
+                    let (ra, rb) = (base.mem.region_at(a), base.mem.region_at(a.add(size)));
+                    if ra.map(|r| r.base()) != rb.map(|r| r.base()) {
+                        crossing += 1;
+                    }
+                }
+                Ok(_) => {}
+                Err(Fault::Hang) => hang_on[charges as usize - 1] += 1,
+                Err(Fault::Segv { addr, access, .. }) => {
+                    let in_b = addr >= a.add(size) && addr.diff(a.add(size)) < size;
+                    match (access, in_b) {
+                        (simproc::Access::Read, false) => segv_read_a += 1,
+                        (simproc::Access::Read, true) => segv_read_b += 1,
+                        (_, false) => segv_write_a += 1,
+                        (_, true) => segv_write_b += 1,
+                    }
+                }
+                Err(other) => panic!("unexpected fault {other}"),
+            }
+        }
+    }
+    for (what, count) in [
+        ("in-place swaps", in_place),
+        ("swaps across a region edge", crossing),
+        ("sizes whose double overflows", overflowing),
+        ("hangs on the first read", hang_on[0]),
+        ("hangs on the second read", hang_on[1]),
+        ("hangs on the first write", hang_on[2]),
+        ("hangs on the second write", hang_on[3]),
+        ("read faults on the first element", segv_read_a),
+        ("read faults on the second element", segv_read_b),
+        ("write faults on the first element", segv_write_a),
+        ("write faults on the second element", segv_write_b),
+    ] {
+        assert!(count >= 16, "only {count} cases of {what}");
     }
 }
 

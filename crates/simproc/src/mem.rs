@@ -20,10 +20,12 @@
 //! and [`AddressSpace::run_before`] hand out the accessible bytes up to a
 //! region's edge in one lookup, and [`AddressSpace::fill`] and
 //! [`AddressSpace::copy_within`] write a whole run with one dirty-chunk
-//! update and one epoch bump. `Proc`'s fuel-metered run primitives
-//! (`fill`, `copy_forward`, `copy_cstr`, `copy_backward`, `scan`), on
-//! which simlibc's string and memory functions are built, pay a few
-//! lookups per run instead of one or two per byte.
+//! update and one epoch bump. `Proc`'s six fuel-metered run primitives
+//! (`fill`, `copy_forward`, `copy_cstr`, `copy_backward`, `scan`,
+//! `swap_adjacent`), on which simlibc's string, memory and sort functions
+//! are built, pay a few lookups per run instead of one or two per byte;
+//! [`AddressSpace::swap_adjacent`] swaps two neighbouring elements of one
+//! region in place.
 //!
 //! Region backing stores are recycled through a thread-local buffer pool.
 //! Each buffer is split into at most 128 equal chunks (a power of two, at
@@ -904,6 +906,33 @@ impl AddressSpace {
                 .copy_from_slice(&s.data.as_slice()[s_off..s_off + len]);
         }
         Ok(())
+    }
+
+    /// Swaps the `n` bytes at `addr` with the `n` bytes after them, as
+    /// reading both and writing each into the other's place would, when
+    /// all `2 × n` bytes lie in one region that allows reading and
+    /// writing: one lookup, one dirty-chunk update and one epoch bump.
+    /// Returns `false`, touching nothing, when they do not; `n == 0` has
+    /// nothing to swap and returns `true`.
+    pub fn swap_adjacent(&mut self, addr: VirtAddr, n: u64) -> bool {
+        if n == 0 {
+            return true;
+        }
+        let (Some(both), Some(i)) = (n.checked_mul(2), self.region_index(addr)) else {
+            return false;
+        };
+        let r = &mut self.regions[i];
+        let off = addr.diff(r.base()) as usize;
+        let prot = r.prot();
+        if !(prot.allows(Access::Read) && prot.allows(Access::Write))
+            || both > (r.data.len() - off) as u64
+        {
+            return false;
+        }
+        let (x, y) = r.data.slice_mut(off, both as usize).split_at_mut(n as usize);
+        x.swap_with_slice(y);
+        self.bump_epoch();
+        true
     }
 
     /// The region index and offset of `addr`, when the `len > 0` bytes

@@ -701,6 +701,33 @@ impl Proc {
         Ok(None)
     }
 
+    /// Swaps the `size` bytes at `a` with the `size` bytes after them: the
+    /// sequence of [`Proc::read_bytes`] of both elements, then
+    /// [`Proc::write_bytes`] of each into the other's place, `1 + size / 8`
+    /// fuel for each of the four. When both elements lie in one readable
+    /// and writable region and the fuel left covers all four charges, the
+    /// swap happens in place and is charged at once; otherwise the four
+    /// calls run as written, so a fault, a hang between two of them and a
+    /// write made before it are theirs.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Hang`] or [`Fault::Segv`] where that sequence would fault.
+    pub fn swap_adjacent(&mut self, a: VirtAddr, size: u64) -> Result<(), Fault> {
+        let each = 1 + size / 8;
+        if each.checked_mul(4).is_some_and(|all| all <= self.fuel_left())
+            && self.mem.swap_adjacent(a, size)
+        {
+            self.charge(4 * each);
+            return Ok(());
+        }
+        let b = a.add(size);
+        let va = self.read_bytes(a, size)?;
+        let vb = self.read_bytes(b, size)?;
+        self.write_bytes(a, &vb)?;
+        self.write_bytes(b, &va)
+    }
+
     /// [`Proc::read_cstr`] decoded as lossy UTF-8; panics on fault
     /// (host-side convenience for tests and reports only).
     pub fn read_cstr_lossy(&mut self, addr: VirtAddr) -> String {
