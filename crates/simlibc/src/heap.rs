@@ -34,7 +34,10 @@
 //! [`HeapOracle`]) answer from it plus an O(1) consistency test of the
 //! headers `free` itself would read, instead of walking the heap. The
 //! walk ([`walk`], [`free_list`]) stays as the reference and as
-//! [`check_invariants`]' engine.
+//! [`check_invariants`]' engine. It stops at the first size word that
+//! reaches past the arena end, so it reads at most
+//! `HEAP_MAX / MIN_CHUNK` headers (2^19) however the heap was corrupted,
+//! and looks each chunk up in the sorted free list in `O(log n)`.
 
 use simproc::layout::{HEAP_BASE, HEAP_MAX};
 use simproc::{errno, Access, CVal, Fault, Proc, VirtAddr};
@@ -340,22 +343,29 @@ pub struct ChunkInfo {
 
 /// Walks the heap chunk by chunk (host-side; does not consume fuel).
 ///
+/// Every chunk the walk accepts lies inside the arena and spans at least
+/// [`MIN_CHUNK`] bytes, and the arena never grows past [`HEAP_MAX`], so
+/// it reads at most `HEAP_MAX / MIN_CHUNK` headers. A size word that
+/// reaches past the arena end (a wrapping one included) stops it at that
+/// header.
+///
 /// # Errors
 ///
 /// Returns a descriptive error string if the chunk chain is corrupt.
 pub fn walk(p: &Proc) -> Result<Vec<ChunkInfo>, String> {
+    walk_and_free_list(p).map(|(chunks, _)| chunks)
+}
+
+/// [`walk`], also handing back the [`free_list`] entries, sorted.
+fn walk_and_free_list(p: &Proc) -> Result<(Vec<ChunkInfo>, Vec<VirtAddr>), String> {
     let end = heap_end(p);
     let top =
         p.mem.read_ptr(HEAP_TOP).map_err(|e| format!("top pointer unreadable: {e}"))?;
-    let free_set = free_list(p)?;
+    let mut free_set = free_list(p)?;
+    free_set.sort_unstable();
     let mut out = Vec::new();
     let mut cur = HEAP_BASE;
-    let mut guard = 0;
     while cur < end {
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("heap walk did not terminate".into());
-        }
         let word = p
             .mem
             .read_u64(cur.add(8))
@@ -364,20 +374,22 @@ pub fn walk(p: &Proc) -> Result<Vec<ChunkInfo>, String> {
         if size < MIN_CHUNK || size % 16 != 0 {
             return Err(format!("bad chunk size {size:#x} at {cur}"));
         }
+        if size > end.diff(cur) {
+            return Err(format!(
+                "chunks overrun arena end: chunk at {cur} of size {size:#x} passes {end}"
+            ));
+        }
         let payload = cur.add(HDR);
         out.push(ChunkInfo {
             base: cur,
             size,
             prev_inuse: word & PREV_INUSE != 0,
-            free: free_set.contains(&payload),
+            free: free_set.binary_search(&payload).is_ok(),
             is_top: cur == top,
         });
         cur = cur.add(size);
     }
-    if cur != end {
-        return Err(format!("chunks overrun arena end: {cur} != {end}"));
-    }
-    Ok(out)
+    Ok((out, free_set))
 }
 
 /// Collects free-list payload addresses (host-side).
@@ -575,7 +587,7 @@ impl<'a> Headers<'a> {
 ///
 /// See above.
 pub fn check_invariants(p: &Proc) -> Result<(), String> {
-    let chunks = walk(p)?;
+    let (chunks, free_addrs) = walk_and_free_list(p)?;
     let Some(last) = chunks.last() else {
         return Err("empty heap".into());
     };
@@ -608,10 +620,11 @@ pub fn check_invariants(p: &Proc) -> Result<(), String> {
             }
         }
     }
-    // Every free-list entry is a walked free chunk.
-    let free_addrs = free_list(p)?;
+    // Every free-list entry is a walked free chunk. The walk visits
+    // chunks in address order, so their payloads are sorted.
     for f in &free_addrs {
-        if !chunks.iter().any(|c| c.base.add(HDR) == *f && c.free) {
+        let found = chunks.binary_search_by_key(f, |c| c.base.add(HDR));
+        if !found.is_ok_and(|i| chunks[i].free) {
             return Err(format!("free list entry {f} is not a free chunk"));
         }
     }
@@ -753,6 +766,26 @@ mod tests {
         check_invariants(&p).unwrap();
         let merged = malloc(&mut p, 80).unwrap();
         assert_eq!(merged, a);
+    }
+
+    /// The campaign's `memset(p, 255, 65535)` cases leave size words of
+    /// all ones, which wrap the walk back into the arena. It must stop at
+    /// the first such header instead of walking on.
+    #[test]
+    fn walk_stops_at_a_size_word_past_the_arena_end() {
+        let mut p = proc_with_heap();
+        p.mem.write_u64(HEAP_BASE.add(8), u64::MAX).unwrap();
+        let err = check_invariants(&p).unwrap_err();
+        assert!(
+            err.starts_with(&format!("chunks overrun arena end: chunk at {HEAP_BASE} "))
+        );
+
+        let mut p = proc_with_heap();
+        let a = malloc(&mut p, 16).unwrap();
+        p.mem.fill(a, 0x1000, 0xff).unwrap();
+        let next = a.add(chunk_size_for(16) - HDR);
+        let err = walk(&p).unwrap_err();
+        assert!(err.starts_with(&format!("chunks overrun arena end: chunk at {next} ")));
     }
 
     #[test]
