@@ -16,7 +16,8 @@ use typelattice::{
 use crate::checkpoint::{function_fingerprint, CheckpointJournal};
 use crate::outcome::{Outcome, TestOutcome};
 use crate::sandbox::{
-    case_seed, materialize, quorum, run_case, value_count, CaseKey, Dispatch, ProcFactory,
+    case_seed, materialize, quorum, run_case, run_sandboxed, value_count, CaseKey,
+    Dispatch, ProcFactory,
 };
 
 /// A function under test.
@@ -298,6 +299,15 @@ enum Stop {
     Breaker,
 }
 
+/// A case for [`SearchCx::judge`]: its key and, when the caller already
+/// built it (see [`combo_in_contract`]), the fresh process with the key's
+/// arguments materialised. The first attempt runs on that process instead
+/// of a new one; reruns always start fresh.
+struct Case<'k> {
+    key: &'k CaseKey,
+    materialized: Option<(Proc, Vec<CVal>)>,
+}
+
 /// Everything a single function search needs from the campaign run.
 struct SearchCx<'a> {
     config: &'a CampaignConfig,
@@ -321,10 +331,11 @@ impl SearchCx<'_> {
         fingerprint: u64,
         func: &str,
         plans: &[ParamPlan],
-        key: &CaseKey,
+        case: Case<'_>,
         call: Dispatch<'_>,
         tally: &mut CaseTally,
     ) -> Option<TestOutcome> {
+        let Case { key, materialized } = case;
         if let Some(outcome) = self.journal.lookup(fingerprint, key) {
             tally.hits += 1;
             return Some(TestOutcome { outcome, fault: None, errno: 0, ret: None });
@@ -334,10 +345,21 @@ impl SearchCx<'_> {
         }
         let config = self.config;
         let seed = case_seed(config.seed, func, key);
-        let mut run = |fuel| {
-            run_case(self.factory, plans, key, seed, fuel, config.detect_silent, &mut *call)
+        let mut run = |fuel, materialized: Option<(Proc, Vec<CVal>)>| match materialized {
+            Some((mut proc, args)) => {
+                run_sandboxed(&mut proc, fuel, config.detect_silent, |p| call(p, &args))
+            }
+            None => run_case(
+                self.factory,
+                plans,
+                key,
+                seed,
+                fuel,
+                config.detect_silent,
+                &mut *call,
+            ),
         };
-        let mut out = run(config.fuel);
+        let mut out = run(config.fuel, materialized);
 
         // Adaptive watchdog: escalate the fuel budget geometrically up
         // to the deadline before letting a Hang classification stick.
@@ -346,14 +368,14 @@ impl SearchCx<'_> {
         while out.outcome == Outcome::Hang && settled_fuel < max_fuel {
             settled_fuel = settled_fuel.saturating_mul(2).min(max_fuel);
             tally.retries += 1;
-            out = run(settled_fuel);
+            out = run(settled_fuel, None);
         }
 
         // Outcome quorum, with fuel backoff from where the watchdog
         // settled.
         let out = quorum(out, config.quorum, settled_fuel, |fuel| {
             tally.retries += 1;
-            run(fuel)
+            run(fuel, None)
         });
 
         // Host bugs are defects of the harness, not observations about
@@ -585,23 +607,27 @@ fn record(histogram: &mut BTreeMap<Outcome, usize>, outcome: Outcome) {
     *histogram.entry(outcome).or_insert(0) += 1;
 }
 
-/// Whether a combo's materialised arguments jointly satisfy the chosen
-/// predicates (evaluated with the allocation-aware oracle, like the
-/// wrapper will).
+/// The combo's fresh process and materialised arguments, when those
+/// arguments jointly satisfy the chosen predicates (evaluated with the
+/// allocation-aware oracle, like the wrapper will); `None` when the combo
+/// is out of contract. [`SafePred::check`] reads the process and never
+/// changes it, so the process is exactly what [`run_case`] would build
+/// for the combo's first attempt.
 fn combo_in_contract(
     factory: ProcFactory,
     plans: &[ParamPlan],
     chosen: &[usize],
     key: &CaseKey,
     seed: u64,
-) -> bool {
+) -> Option<(Proc, Vec<CVal>)> {
     let mut proc = factory();
     let args = materialize(&mut proc, plans, key, seed);
     let oracle = simlibc::heap::HeapOracle::new();
-    plans
+    let in_contract = plans
         .iter()
         .enumerate()
-        .all(|(i, p)| p.ladder[chosen[i]].pred.check(&proc, &oracle, &args, i))
+        .all(|(i, p)| p.ladder[chosen[i]].pred.check(&proc, &oracle, &args, i));
+    in_contract.then_some((proc, args))
 }
 
 fn search_function(
@@ -675,7 +701,7 @@ fn search_function(
                     fingerprint,
                     &target.name,
                     &plans,
-                    &key,
+                    Case { key: &key, materialized: None },
                     &mut call,
                     &mut tally,
                 ) else {
@@ -777,14 +803,16 @@ fn search_function(
                                 rungs: chosen.clone(),
                             };
                             let seed = case_seed(config.seed, &target.name, &key);
-                            if !combo_in_contract(cx.factory, &plans, &chosen, &key, seed) {
+                            let Some(materialized) =
+                                combo_in_contract(cx.factory, &plans, &chosen, &key, seed)
+                            else {
                                 continue;
-                            }
+                            };
                             let Some(out) = cx.judge(
                                 fingerprint,
                                 &target.name,
                                 &plans,
-                                &key,
+                                Case { key: &key, materialized: Some(materialized) },
                                 &mut call,
                                 &mut tally,
                             ) else {
@@ -1367,7 +1395,16 @@ mod tests {
             hints: None,
         };
         let mut tally = CaseTally::default();
-        let out = cx.judge(1, "slow", &plans, &key, &mut call, &mut tally).unwrap();
+        let out = cx
+            .judge(
+                1,
+                "slow",
+                &plans,
+                Case { key: &key, materialized: None },
+                &mut call,
+                &mut tally,
+            )
+            .unwrap();
         assert_ne!(out.outcome, Outcome::Hang, "watchdog must rescue slow calls");
         assert!(tally.retries > 0, "escalation must have happened");
 
@@ -1378,7 +1415,16 @@ mod tests {
             }
         };
         let mut tally = CaseTally::default();
-        let out = cx.judge(2, "diverge", &plans, &key, &mut diverge, &mut tally).unwrap();
+        let out = cx
+            .judge(
+                2,
+                "diverge",
+                &plans,
+                Case { key: &key, materialized: None },
+                &mut diverge,
+                &mut tally,
+            )
+            .unwrap();
         assert_eq!(out.outcome, Outcome::Hang, "true divergence is still classified");
     }
 }
