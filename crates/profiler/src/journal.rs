@@ -11,9 +11,10 @@
 //! * **The call ring** — the last N calls (function, truncated
 //!   arguments, verdict, cycles), kept only when a ring size is set.
 //!
-//! Two retention rules bound it. Decisions and uses are kept first-N,
-//! [`JOURNAL_CAP`] each by default; what comes after the cap is counted,
-//! never dropped silently. The call ring keeps the last N. The exit
+//! Two retention rules bound it. Decisions, uses and the taint set are
+//! kept first-N, [`JOURNAL_CAP`] each by default; what comes after the
+//! cap is counted, never dropped silently. The call ring keeps the last
+//! N. The exit
 //! document's `<healing>`, `<oblivious>` and `<flight-recorder>`
 //! sections and the fault report are views over this one store.
 //! Recording is deterministic (no clocks, no RNG), so same-seed runs
@@ -215,8 +216,11 @@ impl ObliviousSnapshot {
 struct Inner {
     decisions: Vec<HealEvent>,
     uses: Vec<TaintedUse>,
-    /// Non-zero manufactured values, for downstream taint matching.
+    /// Non-zero manufactured values, for downstream taint matching; the
+    /// first `cap` distinct ones.
     taint: BTreeSet<u64>,
+    /// Distinct manufactured values the full taint set turned away.
+    dropped_taint: u64,
     ring: VecDeque<FlightRecord>,
     /// Decisions counted past the cap.
     dropped_decisions: u64,
@@ -264,13 +268,19 @@ impl WrapperJournal {
 
     /// Records one oblivious absorption under a single lock: the
     /// decision with its payload, and `taint` (a manufactured value) into
-    /// the taint set — even past the cap, so taint tracking never stops.
-    /// Zero is never tracked: it is indistinguishable from a legitimate
-    /// zero.
+    /// the taint set. The taint set has its own cap, so a value
+    /// manufactured after the decisions overflowed is still tracked; a
+    /// new value that finds the taint set full is counted
+    /// ([`WrapperJournal::taint_dropped`]) and not tracked. Zero is never
+    /// tracked: it is indistinguishable from a legitimate zero.
     pub fn record_oblivious(&self, event: HealEvent, taint: Option<u64>) {
         let mut inner = self.inner.lock();
         if let Some(v) = taint.filter(|&v| v != 0) {
-            inner.taint.insert(v);
+            if inner.taint.len() < self.cap || inner.taint.contains(&v) {
+                inner.taint.insert(v);
+            } else {
+                inner.dropped_taint += 1;
+            }
         }
         self.push(&mut inner, event);
     }
@@ -343,6 +353,16 @@ impl WrapperJournal {
     /// Decisions counted past the cap.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped_decisions
+    }
+
+    /// Number of tracked manufactured values.
+    pub fn taint_len(&self) -> usize {
+        self.inner.lock().taint.len()
+    }
+
+    /// Manufactured values not tracked because the taint set was full.
+    pub fn taint_dropped(&self) -> u64 {
+        self.inner.lock().dropped_taint
     }
 
     /// The `<oblivious>` view.
@@ -520,6 +540,26 @@ mod tests {
             doc.contains("<oblivious reads=\"1\" writes=\"0\" uses=\"2\" dropped=\"4\">"),
             "{doc}"
         );
+    }
+
+    #[test]
+    fn taint_set_never_exceeds_cap() {
+        let j = WrapperJournal::with_cap(4);
+        for v in 1..=10 {
+            absorb(&j, "strdup", read(), Some(v * 0x100));
+            assert!(j.taint_len() <= 4);
+        }
+        assert_eq!((j.taint_len(), j.taint_dropped()), (4, 6));
+        // A value already tracked is not a drop.
+        absorb(&j, "strdup", read(), Some(0x100));
+        assert_eq!(j.taint_dropped(), 6);
+        // Only the first four values count as taint.
+        j.record_tainted_uses("puts", &[ptr(0x400), ptr(0x500)]);
+        let uses = j.oblivious().uses;
+        assert_eq!(uses.len(), 1, "{uses:?}");
+        assert_eq!(uses[0].arg, 0);
+        j.clear();
+        assert_eq!((j.taint_len(), j.taint_dropped()), (0, 0));
     }
 
     #[test]
